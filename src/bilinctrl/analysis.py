@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .matlie import DEFAULT_TOL, LieBasis, evaluate_at, lie_closure
-from .model import MatrixFamily, SystemSpec, project_sphere
+from .matlie import DEFAULT_TOL, LieBasis, evaluate_at, frobenius_normalize, lie_closure
+from .model import MatrixFamily, SystemSpec
 from .reach import CoverageGrid, CoverageReport, coverage, sample_attainable
 
 
@@ -150,29 +150,6 @@ def transversality_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
     return bool(s.size >= spec.n and s[spec.n - 1] > tol * s[0])
 
 
-def projected_tangent_rank(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
-                           basis: LieBasis | None = None) -> int:
-    """Rank of the closure pushed to the sphere tangent space at x/|x|.
-
-    Independent route for the transversality check: transversality at x is
-    equivalent to this rank being n - 1.
-    """
-    _require_bilinear(spec)
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
-        raise ValueError("x must be nonzero")
-    u = x / nrm
-    basis = _closure(spec, tol, basis)
-    if basis.dim == 0:
-        return 0
-    cols = np.column_stack([project_sphere(b, u) for b in basis.basis])
-    s = np.linalg.svd(cols, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
 def _sigma_n_batch(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-th singular value (0 when there are fewer columns) and the largest."""
     s = np.linalg.svd(cols, compute_uv=False)
@@ -242,13 +219,18 @@ def min_rank_search(spec: SystemSpec, restarts: int = 12, seed: int = 0,
 
 def monotone_norm_certificate(family: MatrixFamily,
                               tol: float = 1e-12) -> MonotoneNorm | None:
-    """Certificate that |x(t)| is monotone along every trajectory, if any."""
+    """Certificate that |x(t)| is monotone along every trajectory, if any.
+
+    Symmetric-part eigenvalues are compared against tol times the norm of
+    their generator; the raw eigenvalues are recorded.
+    """
     eigs = [np.linalg.eigvalsh((m + m.T) / 2.0) for m in family.matrices]
-    if all(np.max(np.abs(e)) <= tol for e in eigs):
+    slack = [tol * frobenius_normalize(m)[1] for m in family.matrices]
+    if all(np.max(np.abs(e)) <= s for e, s in zip(eigs, slack)):
         direction = "constant"
-    elif all(e.min() >= -tol for e in eigs):
+    elif all(e.min() >= -s for e, s in zip(eigs, slack)):
         direction = "nondecreasing"
-    elif all(e.max() <= tol for e in eigs):
+    elif all(e.max() <= s for e, s in zip(eigs, slack)):
         direction = "nonincreasing"
     else:
         return None

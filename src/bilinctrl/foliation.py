@@ -16,6 +16,7 @@ import numpy as np
 
 from .matlie import LieBasis, lie_closure
 from .model import SystemSpec
+from .reach import spread_directions
 
 
 class FoliationError(RuntimeError):
@@ -52,7 +53,7 @@ class RadialDistribution:
     """
 
     def __init__(self, n: int, normal_fn, leaf_fn=None, name: str = "",
-                 trans_tol: float = 1e-9, homogeneous: bool = True):
+                 trans_tol: float = 1e-9):
         if n < 2:
             raise ValueError("radial distributions need n >= 2")
         self.n = int(n)
@@ -60,7 +61,6 @@ class RadialDistribution:
         self.leaf_fn = leaf_fn
         self.name = name
         self.trans_tol = float(trans_tol)
-        self.homogeneous = bool(homogeneous)
 
     def normal_at(self, x) -> np.ndarray:
         """Unit normal of the leaf through x; raises on transversality loss."""
@@ -363,23 +363,14 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
 
 def _theta_samples(n: int, count: int, seed: int) -> np.ndarray:
     """Quasi-uniform unit directions on the equatorial sphere (last coord 0)."""
+    rng = np.random.default_rng([seed, 6])
+    thetas = np.zeros((count, n))
     if n == 3:
-        rng = np.random.default_rng([seed, 6])
-        phase = rng.random()
-        angles = 2.0 * np.pi * (np.arange(count) + phase) / count
-        thetas = np.zeros((count, n))
+        angles = 2.0 * np.pi * (np.arange(count) + rng.random()) / count
         thetas[:, 0] = np.cos(angles)
         thetas[:, 1] = np.sin(angles)
-        return thetas
-    rng = np.random.default_rng([seed, 6])
-    cand = rng.standard_normal((max(64, 32 * count), n - 1))
-    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-    chosen = [cand[0]]
-    for _ in range(count - 1):
-        score = 1.0 - np.max(np.abs(cand @ np.array(chosen).T), axis=1)
-        chosen.append(cand[int(np.argmax(score))])
-    thetas = np.zeros((count, n))
-    thetas[:, : n - 1] = np.array(chosen)
+    else:
+        thetas[:, : n - 1] = spread_directions(rng, n - 1, count)
     return thetas
 
 

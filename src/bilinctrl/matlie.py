@@ -26,6 +26,18 @@ def _as_square(a, name="matrix") -> np.ndarray:
     return a
 
 
+def frobenius_normalize(a) -> tuple[np.ndarray, float]:
+    """(a / |a|_F, |a|_F), dividing by the largest |entry| first so that
+    neither overflows needlessly; a zero matrix is returned as is."""
+    a = np.asarray(a, dtype=float)
+    peak = float(np.max(np.abs(a), initial=0.0))
+    if peak == 0.0:
+        return a, 0.0
+    a = a / peak
+    rel = float(np.linalg.norm(a))
+    return a / rel, peak * rel
+
+
 def bracket(a, b) -> np.ndarray:
     """Commutator [a, b] = ab - ba of two square matrices."""
     a = _as_square(a, "a")
@@ -72,11 +84,13 @@ class SubspaceReport:
 def lie_closure(generators, tol: float = DEFAULT_TOL, depth_cap: int | None = None) -> LieBasis:
     """Orthonormal basis of the smallest bracket-closed span of the generators.
 
-    Breadth-first bracketing of basis pairs; a candidate direction is admitted
-    only when its residual after projection onto the current span exceeds
-    ``tol`` times the largest matrix norm seen.  The ordering (generator
-    index, then discovery order) is deterministic so results are reproducible.
-    ``depth_cap`` bounds the number of bracketing rounds (default 2*n*n).
+    Generators are scaled to unit Frobenius norm, so the admission test does
+    not depend on their relative scale.  Breadth-first bracketing of basis
+    pairs; a candidate direction is admitted only when its residual after
+    projection onto the current span exceeds ``tol`` times the largest matrix
+    norm seen.  The ordering (generator index, then discovery order) is
+    deterministic so results are reproducible.  ``depth_cap`` bounds the
+    number of bracketing rounds (default 2*n*n).
     """
     gens = list(generators)
     if not gens:
@@ -91,6 +105,7 @@ def lie_closure(generators, tol: float = DEFAULT_TOL, depth_cap: int | None = No
     if depth_cap is None:
         depth_cap = 2 * n * n
 
+    mats = [frobenius_normalize(m)[0] for m in mats]
     basis_vecs: list[np.ndarray] = []
     scale = max(float(np.linalg.norm(m)) for m in mats)
 

@@ -66,8 +66,6 @@ class SystemSpec:
     name: str = ""
     family: MatrixFamily | None = None
     fields: tuple | None = None
-    homogeneous: bool = False
-    field_labels: tuple | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -144,15 +142,13 @@ def bilinear_system(matrices, name: str = "", labels=None) -> SystemSpec:
     return SystemSpec(n=family.n, name=name, family=family)
 
 
-def smooth_system(n: int, fields, name: str = "", homogeneous: bool = False,
-                  labels=None) -> SystemSpec:
+def smooth_system(n: int, fields, name: str = "") -> SystemSpec:
     """Build a smooth system from evaluable vector fields.
 
     Fields must be vectorized: they take arrays of shape (..., n) and return
     arrays of the same shape, finite on finite nonzero inputs.
     """
-    return SystemSpec(n=n, name=name, fields=tuple(fields), homogeneous=homogeneous,
-                      field_labels=None if labels is None else tuple(labels))
+    return SystemSpec(n=n, name=name, fields=tuple(fields))
 
 
 def project_sphere(m, x) -> np.ndarray:
@@ -246,8 +242,6 @@ def builtin_corpus(name: str) -> SystemSpec:
             2,
             (_f_unit_up, _f_gated_down, _f_gated_right, _f_gated_left),
             name="example1",
-            homogeneous=False,
-            labels=("unit_up", "gated_down", "gated_right", "gated_left"),
         )
     raise ValueError(f"unknown builtin system: {name!r} (choose from {BUILTIN_NAMES})")
 

@@ -1,10 +1,11 @@
 """Exact piecewise-constant simulation, attainable-set sampling, coverage.
 
-Bilinear schedules are simulated as products of matrix exponentials; smooth
-schedules are integrated adaptively.  Attainable-set clouds are produced by a
-seeded random-schedule sampler whose per-schedule randomness is a pure
-function of (seed, schedule index), so any execution order yields the same
-cloud.  Coverage is measured on equal-area angular cells crossed with
+Bilinear schedules are products of flows exp(t M_k) x, applied by one batched
+kernel in simulation, sampling and reach search alike; smooth schedules are
+integrated adaptively.  Attainable-set clouds are produced by a seeded
+random-schedule sampler whose per-schedule randomness is a pure function of
+(seed, schedule index), so any execution order yields the same cloud.
+Coverage is measured on angular cells (equal-area for n <= 3) crossed with
 log-radial bins over an annulus.
 """
 
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .matlie import matrix_exponential
 from .model import ControlSchedule, MatrixFamily, SystemSpec
 
 DEGENERATE_NORM = 1e-300
@@ -62,39 +63,79 @@ def _check_schedule(schedule: ControlSchedule, num_fields: int):
             f"but the system has {num_fields} fields")
 
 
+class _FamilyFlows:
+    """The flow kernel of a bilinear family: exp(t M_k) applied to batches
+    of states, through cached eigenfactors when they reconstruct M_k to near
+    machine precision and one stacked scaling-and-squaring call otherwise.
+    """
+
+    def __init__(self, family: MatrixFamily):
+        self.mats = family.matrices
+        self.eig = []
+        for m in self.mats:
+            item = None
+            try:
+                w, v = np.linalg.eig(m)
+                vinv = np.linalg.inv(v)
+                err = np.linalg.norm((v * w) @ vinv - m)
+                if err <= 1e-12 * (1.0 + np.linalg.norm(m)):
+                    item = (w, v, vinv)
+            except np.linalg.LinAlgError:
+                item = None
+            self.eig.append(item)
+
+    def apply_rows(self, k: int, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Row r of the result is exp(ts[r] M_k) @ xs[r]; overflow gives
+        non-finite rows rather than an error."""
+        item = self.eig[k]
+        if item is None:
+            exps = scipy.linalg.expm(ts[:, None, None] * self.mats[k])
+            return np.einsum("rij,rj->ri", exps, xs)
+        w, v, vinv = item
+        y = xs @ vinv.T
+        y = y * np.exp(ts[:, None] * w[None, :])
+        return np.real(y @ v.T)
+
+    def simulate(self, schedule: ControlSchedule, x0: np.ndarray,
+                 record_dt: float | None = None) -> Trajectory:
+        """Trajectory of x0 along a validated schedule; see simulate_bilinear."""
+        times = [0.0]
+        states = [x0]
+        status = "ok"
+        x = x0
+        for idx, dur in schedule.segments:
+            if dur == 0.0:
+                # exp(0 M) = I: the state stays bit-identical
+                times.append(times[-1])
+                states.append(x)
+                continue
+            steps = 1 if record_dt is None else int(np.ceil(abs(dur) / record_dt))
+            offsets = (dur / steps) * np.arange(1, steps + 1)
+            xs = self.apply_rows(idx, offsets, np.broadcast_to(x, (steps, x.size)))
+            if not np.all(np.isfinite(xs)):
+                raise OverflowError("bilinear flow overflowed to a non-finite state")
+            times.extend(times[-1] + offsets)
+            states.extend(xs)
+            x = xs[-1]
+            if np.linalg.norm(x) < DEGENERATE_NORM:
+                status = "degenerate"
+                break
+        return Trajectory(np.array(times), np.array(states), schedule, status)
+
+
 def simulate_bilinear(family: MatrixFamily, schedule: ControlSchedule, x0,
                       record_dt: float | None = None) -> Trajectory:
     """Flow x0 through exp(t_k M_k) ... exp(t_1 M_1), recording boundaries.
 
     With record_dt, interior states are recorded roughly every record_dt time
-    units inside each segment.
+    units inside each segment.  Raises OverflowError once the state is no
+    longer finite.
     """
     x0 = _check_x0(x0, family.n)
     _check_schedule(schedule, len(family))
-    times = [0.0]
-    states = [x0]
-    status = "ok"
-    t = 0.0
-    x = x0
-    for idx, dur in schedule.segments:
-        m = family.matrices[idx]
-        if record_dt is not None and abs(dur) > record_dt:
-            steps = int(np.ceil(abs(dur) / record_dt))
-            step = matrix_exponential(m, dur / steps)
-            for _ in range(steps):
-                x = step @ x
-                t += dur / steps
-                times.append(t)
-                states.append(x)
-        else:
-            x = matrix_exponential(m, dur) @ x
-            t += dur
-            times.append(t)
-            states.append(x)
-        if np.linalg.norm(x) < DEGENERATE_NORM:
-            status = "degenerate"
-            break
-    return Trajectory(np.array(times), np.array(states), schedule, status)
+    if record_dt is not None and not record_dt > 0:
+        raise ValueError("record_dt must be positive")
+    return _FamilyFlows(family).simulate(schedule, x0, record_dt)
 
 
 def simulate_smooth(spec: SystemSpec, schedule: ControlSchedule, x0,
@@ -193,43 +234,7 @@ def _schedule_from_row(indices_row, durations_row) -> ControlSchedule:
     return ControlSchedule(tuple(segs) if segs else ((0, 0.0),))
 
 
-class _FamilyFlows:
-    """Per-matrix eigenfactorizations for fast exp(tM) @ x products.
-
-    Matrices whose eigendecomposition does not reconstruct them to near
-    machine precision fall back to scaling-and-squaring per call.
-    """
-
-    def __init__(self, family: MatrixFamily):
-        self.mats = family.matrices
-        self.eig = []
-        for m in self.mats:
-            item = None
-            try:
-                w, v = np.linalg.eig(m)
-                vinv = np.linalg.inv(v)
-                err = np.linalg.norm((v * w) @ vinv - m)
-                if err <= 1e-12 * (1.0 + np.linalg.norm(m)):
-                    item = (w, v, vinv)
-            except np.linalg.LinAlgError:
-                item = None
-            self.eig.append(item)
-
-    def apply_rows(self, k: int, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        item = self.eig[k]
-        if item is None:
-            out = np.empty_like(xs)
-            for r in range(xs.shape[0]):
-                out[r] = matrix_exponential(self.mats[k], float(ts[r])) @ xs[r]
-            return out
-        w, v, vinv = item
-        y = xs @ vinv.T
-        y = y * np.exp(ts[:, None] * w[None, :])
-        return np.real(y @ v.T)
-
-
-def _sample_bilinear(family, x0, indices, durations, boundaries=False):
-    flows = _FamilyFlows(family)
+def _sample_bilinear(flows, x0, indices, durations):
     budget, max_segments = indices.shape
     x = np.broadcast_to(x0, (budget, x0.size)).astype(float).copy()
     visited = []
@@ -239,18 +244,15 @@ def _sample_bilinear(family, x0, indices, durations, boundaries=False):
         active = t_col > 0.0
         if not active.any():
             continue
-        for k in range(len(family)):
+        for k in range(len(flows.mats)):
             rows = active & (idx_col == k)
             if rows.any():
                 x[rows] = flows.apply_rows(k, t_col[rows], x[rows])
-        if boundaries:
-            visited.append(x[active].copy())
-    if boundaries:
-        return x, np.vstack(visited) if visited else x.copy()
-    return x
+        visited.append(x[active].copy())
+    return x, np.vstack(visited) if visited else x.copy()
 
 
-def _sample_smooth(spec, x0, indices, durations, boundaries=False):
+def _sample_smooth(spec, x0, indices, durations):
     budget, max_segments = indices.shape
     x = np.broadcast_to(x0, (budget, x0.size)).astype(float).copy()
     frozen = np.zeros(budget, dtype=bool)
@@ -293,13 +295,10 @@ def _sample_smooth(spec, x0, indices, durations, boundaries=False):
                 rows = active[bad]
                 frozen[rows] = True
                 remaining[rows] = 0.0
-        if boundaries:
-            seg_rows = durations[:, j] > 0.0
-            if seg_rows.any():
-                visited.append(x[seg_rows].copy())
-    if boundaries:
-        return x, np.vstack(visited) if visited else x.copy()
-    return x
+        seg_rows = durations[:, j] > 0.0
+        if seg_rows.any():
+            visited.append(x[seg_rows].copy())
+    return x, np.vstack(visited) if visited else x.copy()
 
 
 def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
@@ -318,19 +317,25 @@ def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
     x0 = _check_x0(x0, spec.n)
     _, indices, durations = _schedule_tables(
         spec.num_fields, budget, seed, max_segments, duration_scale)
-    if spec.is_bilinear:
-        out = _sample_bilinear(spec.family, x0, indices, durations,
-                               boundaries=boundaries)
-    else:
-        out = _sample_smooth(spec, x0, indices, durations, boundaries=boundaries)
-    return out[1] if boundaries else out
+    flows = _FamilyFlows(spec.family) if spec.is_bilinear else None
+    ends, visited = _sample(spec, flows, x0, indices, durations)
+    return visited if boundaries else ends
+
+
+def _sample(spec, flows, x0, indices, durations):
+    """(endpoints, segment-boundary states) of every schedule row from x0,
+    through the flow kernel for a bilinear system and the batched RK4
+    stepper for a smooth one."""
+    if flows is None:
+        return _sample_smooth(spec, x0, indices, durations)
+    return _sample_bilinear(flows, x0, indices, durations)
 
 
 # --- coverage grids ---------------------------------------------------------
 
-def _spread_directions(n: int, count: int, seed: int) -> np.ndarray:
-    """Greedy farthest-point directions on S^(n-1), symmetric under negation."""
-    rng = np.random.default_rng([seed, n, count])
+def spread_directions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Greedy farthest-point directions on S^(n-1), symmetric under negation,
+    picked from random candidates drawn from rng."""
     cand = rng.standard_normal((max(64, 32 * count), n))
     cand /= np.linalg.norm(cand, axis=1, keepdims=True)
     chosen = [cand[0]]
@@ -342,12 +347,14 @@ def _spread_directions(n: int, count: int, seed: int) -> np.ndarray:
 
 
 class CoverageGrid:
-    """Equal-area angular cells times log-radial bins over an annulus.
+    """Angular cells times log-radial bins over an annulus.
 
-    The angular partition is latitude-band based for n <= 3 and a
-    nearest-center partition of a seeded spread point set for n > 3.  Cell
-    counts are adjusted so the partition is exactly symmetric under x -> -x,
-    which makes the antipodal (projective) quotient exact.
+    The angular partition is equal-area for n <= 3: arcs for n = 2, bands
+    of equal height split into sectors for n = 3.  For n > 3 it is the
+    nearest-center partition of a seeded spread point set, whose cells do
+    not have equal area.  Cell counts are adjusted so the partition is
+    exactly symmetric under x -> -x, which makes the antipodal (projective)
+    quotient exact.
     """
 
     def __init__(self, n: int, angular_cells: int = 32, radial_bins: int = 16,
@@ -377,7 +384,8 @@ class CoverageGrid:
             self.num_angular = bands * sectors
         else:
             half = max(1, int(np.ceil(angular_cells / 2.0)))
-            base = _spread_directions(n, half, center_seed)
+            base = spread_directions(np.random.default_rng([center_seed, n, half]),
+                                     n, half)
             self._centers = np.vstack([base, -base])
             self.num_angular = 2 * half
 
@@ -503,9 +511,16 @@ class ReachTestResult:
     evaluations: int
 
 
-def _endpoint(spec, schedule, x0) -> np.ndarray:
-    traj = simulate(spec, schedule, x0)
-    return traj.endpoint
+def _distance(spec, flows, segs, x0, target) -> tuple[float, np.ndarray]:
+    """Distance to the target of one schedule's endpoint, and the endpoint;
+    a schedule that overflows counts as infinitely far."""
+    schedule = ControlSchedule(segs)
+    try:
+        traj = (simulate_smooth(spec, schedule, x0) if flows is None
+                else flows.simulate(schedule, x0))
+    except OverflowError:
+        return np.inf, np.full(x0.size, np.inf)
+    return float(np.linalg.norm(traj.endpoint - target)), traj.endpoint
 
 
 def _mutate_schedule(segs, num_fields, rng, scale):
@@ -549,14 +564,13 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
+    flows = _FamilyFlows(spec.family) if spec.is_bilinear else None
     explore = max(1, min(budget, max(budget // 4, 256)))
     _, indices, durations = _schedule_tables(
         spec.num_fields, explore, seed, max_segments, duration_scale)
-    if spec.is_bilinear:
-        cloud = _sample_bilinear(spec.family, x0, indices, durations)
-    else:
-        cloud = _sample_smooth(spec, x0, indices, durations)
+    cloud, _ = _sample(spec, flows, x0, indices, durations)
     dists = np.linalg.norm(cloud - target[None, :], axis=1)
+    dists[~np.isfinite(dists)] = np.inf
     best_row = int(np.argmin(dists))
     best_segs = _schedule_from_row(indices[best_row], durations[best_row]).segments
     best_dist = float(dists[best_row])
@@ -572,17 +586,15 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
                          for _ in range(count))
         else:
             cand = _mutate_schedule(best_segs, spec.num_fields, rng, scale)
-        endpoint = _endpoint(spec, ControlSchedule(cand), x0)
+        d, _ = _distance(spec, flows, cand, x0, target)
         evaluations += 1
-        d = float(np.linalg.norm(endpoint - target))
         if d < best_dist:
             best_dist = d
             best_segs = cand
             scale = max(0.02, scale * 0.95)
 
     witness = ControlSchedule(best_segs)
-    endpoint = _endpoint(spec, witness, x0)
-    final_dist = float(np.linalg.norm(endpoint - target))
+    final_dist, endpoint = _distance(spec, flows, best_segs, x0, target)
     hit = final_dist <= eps
     return ReachTestResult(hit=hit, witness=witness if hit else None,
                            distance=final_dist, endpoint=endpoint,

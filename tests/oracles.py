@@ -1,13 +1,18 @@
 """Independent brute-force oracles used to pin expected test values.
 
 These deliberately avoid the library's numerical code paths: the closure
-oracle works in exact rational arithmetic with Gaussian elimination, and the
-grid oracle scans the unit circle densely.
+oracle works in exact rational arithmetic with Gaussian elimination, the
+grid oracle scans the unit circle densely, the flow oracle multiplies plain
+scipy matrix exponentials, and the tangent-rank oracle pushes the closure to
+the sphere instead of appending the radial line.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
+
+from bilinctrl.model import project_sphere
 
 
 def _mat_mul(a, b):
@@ -86,3 +91,29 @@ def circle_min_sigma(basis_mats, n, angles=3600):
         sigma = s[n - 1] if s.size >= n else 0.0
         best = min(best, sigma)
     return best
+
+
+def expm_product(matrices, segments, x0):
+    """Endpoint of x0 under exp(t_k M_k) ... exp(t_1 M_1): one plain
+    scipy.linalg.expm per segment."""
+    x = np.asarray(x0, dtype=float)
+    for idx, dur in segments:
+        x = scipy.linalg.expm(dur * np.asarray(matrices[idx], dtype=float)) @ x
+    return x
+
+
+def projected_tangent_rank(basis, x, tol=1e-9):
+    """Rank of the closure pushed to the sphere tangent space at x/|x|.
+
+    Dual route for the transversality check: transversality at x is
+    equivalent to this rank being n - 1.
+    """
+    x = np.asarray(x, dtype=float)
+    u = x / np.linalg.norm(x)
+    if basis.dim == 0:
+        return 0
+    cols = np.column_stack([project_sphere(b, u) for b in basis.basis])
+    s = np.linalg.svd(cols, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0]))

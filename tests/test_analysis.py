@@ -11,14 +11,13 @@ from bilinctrl.analysis import (
     min_rank_search,
     monotone_norm_certificate,
     orbit_dimension_profile,
-    projected_tangent_rank,
     transversality_at,
 )
 from bilinctrl.matlie import lie_closure
 from bilinctrl.model import ControlSchedule, builtin_corpus, random_system
 from bilinctrl.reach import simulate_bilinear
 
-from oracles import circle_min_sigma
+from oracles import circle_min_sigma, projected_tangent_rank
 
 SO3 = builtin_corpus("so3")
 PJ = builtin_corpus("planar_jd")
@@ -50,7 +49,7 @@ def test_transversality_agrees_with_projected_rank():
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
             direct = transversality_at(spec, x, basis=basis)
-            via_sphere = projected_tangent_rank(spec, x, basis=basis) == 2
+            via_sphere = projected_tangent_rank(basis, x) == 2
             assert direct == via_sphere
 
 
@@ -172,6 +171,24 @@ def test_decide_scale_invariance():
             v = decide_controllability(scaled, AnalysisBudgets(samples=500, restarts=3,
                                                                reach_budget=2000))
             assert v.conclusion == base.conclusion
+
+
+def test_decide_badly_scaled_generators_never_certified():
+    # sl(2) from {[[s, 1], [0, -s]], J} has rank 2 everywhere whatever s is,
+    # and {I + J, eps (-I + J)} spirals both out and in
+    from bilinctrl.model import bilinear_system
+    budgets = AnalysisBudgets(samples=300, restarts=2, profile_samples=20,
+                              reach_budget=500)
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for s in (1.0, 1e9, 1e200):
+        spec = bilinear_system([[[s, 1.0], [0.0, -s]], J])
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = decide_controllability(spec, budgets)
+        assert v.lie_dim == 3, s
+        assert v.conclusion != "not_controllable", s
+    spiral = bilinear_system([np.eye(2) + J, 1e-13 * (J - np.eye(2))])
+    assert monotone_norm_certificate(spiral.family) is None
+    assert decide_controllability(spiral, budgets).conclusion != "not_controllable"
 
 
 def test_decide_scalar_systems():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from bilinctrl.model import ControlSchedule, builtin_corpus, smooth_system
+from bilinctrl.model import (
+    ControlSchedule,
+    MatrixFamily,
+    bilinear_system,
+    builtin_corpus,
+    smooth_system,
+)
 from bilinctrl.reach import (
     CoverageGrid,
     approx_reach_test,
@@ -11,6 +17,8 @@ from bilinctrl.reach import (
     simulate_bilinear,
     simulate_smooth,
 )
+
+from oracles import expm_product
 
 PJ = builtin_corpus("planar_jd")
 SO3 = builtin_corpus("so3")
@@ -123,6 +131,37 @@ def test_smooth_blowup_detection():
     assert np.linalg.norm(traj.states[-1]) >= 1e11
 
 
+def test_simulate_nilpotent_closed_form():
+    # exp(t E12) = I + t E12, forward, backward (orbit mode) and sub-stepped
+    fam = MatrixFamily(([[0.0, 1.0], [0.0, 0.0]],))
+    x0 = np.array([0.3, -1.1])
+
+    def closed(t):
+        return x0 + t * np.array([x0[1], 0.0])
+
+    for t in (2.5, -1.75):
+        sched = ControlSchedule(((0, t),), attainable_mode=t > 0)
+        np.testing.assert_allclose(simulate_bilinear(fam, sched, x0).endpoint,
+                                   closed(t), rtol=1e-14, atol=1e-15)
+    traj = simulate_bilinear(fam, ControlSchedule(((0, 2.5),)), x0, record_dt=0.5)
+    np.testing.assert_allclose(traj.times, np.arange(6) * 0.5, rtol=1e-15)
+    for t, state in zip(traj.times, traj.states):
+        np.testing.assert_allclose(state, closed(t), rtol=1e-14, atol=1e-15)
+
+
+def test_simulate_rejects_nonpositive_record_dt():
+    for bad in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            simulate_bilinear(PJ.family, ControlSchedule(((0, 1.0),)), [1.0, 0.0],
+                              record_dt=bad)
+
+
+def test_simulate_overflow_raises():
+    fam = MatrixFamily((np.diag([1000.0, 0.0]),))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+        simulate_bilinear(fam, ControlSchedule(((0, 1.0),)), [1.0, 1.0])
+
+
 def test_degenerate_underflow_reported():
     fam = type(PJ.family)((-np.eye(2),))
     tiny = np.array([1e-250, 0.0])
@@ -170,9 +209,8 @@ def test_sampler_rows_independent_of_budget():
 
 
 def test_sampler_endpoints_match_simulator():
-    # batched eigen-flow fast path vs the product-of-exponentials simulator,
-    # including a defective (non-diagonalizable) generator
-    from bilinctrl.model import bilinear_system
+    # batched flow kernel vs a plain product of scipy exponentials, including
+    # a defective (non-diagonalizable) generator
     from bilinctrl.reach import _schedule_from_row, _schedule_tables
 
     defective = bilinear_system([[[0.0, 1.0], [0.0, 0.0]],
@@ -183,7 +221,7 @@ def test_sampler_endpoints_match_simulator():
                                  duration_scale=1.0, boundaries=False)
         for i in range(40):
             sched = _schedule_from_row(indices[i], durations[i])
-            expect = simulate_bilinear(spec.family, sched, [1.0, 0.5]).endpoint
+            expect = expm_product(spec.family.matrices, sched.segments, [1.0, 0.5])
             assert np.linalg.norm(ends[i] - expect) \
                 <= 1e-10 * max(1.0, np.linalg.norm(expect))
 
@@ -253,3 +291,15 @@ def test_reach_miss_off_sphere():
                             budget=2000, seed=0)
     assert not res.hit
     assert res.distance >= 1.0 - 1e-9
+
+
+def test_reach_search_survives_overflowing_schedules():
+    # exp(t diag(800, -800)) overflows for t > 0.89: such schedules count as
+    # infinitely far instead of ending the search or its replay
+    stiff = bilinear_system((np.diag([800.0, -800.0]), [[0.0, -1.0], [1.0, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = approx_reach_test(stiff, [1.0, 0.0], [0.0, 2.0], eps=1e-2,
+                                budget=2000, seed=0)
+    assert np.all(np.isfinite(res.endpoint))
+    assert res.distance == pytest.approx(np.linalg.norm(res.endpoint - [0.0, 2.0]))
+    assert res.hit == (res.witness is not None) == (res.distance <= 1e-2)
