@@ -4,9 +4,10 @@ The pipeline is deliberately asymmetric: non-controllability is certified
 (rank-drop witness or a one-signed norm derivative), while controllability
 verdicts are always labelled empirical and rest on attainable-set coverage.
 Rank drops live on thin algebraic sets that generic sampling misses, so the
-search combines seeded sphere samples with multistart local minimization of
-the smallest relevant singular value, and reports "undetermined" rather than
-certifying a universal rank condition.
+search scans seeded sphere samples and then runs projected gradient descent
+of the smallest relevant singular value from the lowest of them, all at
+once, and reports "undetermined" rather than certifying a universal rank
+condition.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .matlie import DEFAULT_TOL, LieBasis, evaluate_at, frobenius_normalize, lie_closure
 from .model import MatrixFamily, SystemSpec
@@ -116,9 +116,8 @@ def _closure(spec: SystemSpec, tol: float, basis: LieBasis | None) -> LieBasis:
     return lie_closure(spec.family.matrices, tol=tol)
 
 
-def _stacked_batch(basis: LieBasis, points: np.ndarray) -> np.ndarray:
-    """(P, n, d) array of evaluation columns b @ x for each point row."""
-    mats = np.stack(basis.basis)  # (d, n, n)
+def _stacked_batch(mats: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(P, n, d) array of evaluation columns M_k x for each point row x."""
     return np.einsum("dij,pj->pid", mats, points)
 
 
@@ -150,51 +149,57 @@ def transversality_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
     return bool(s.size >= spec.n and s[spec.n - 1] > tol * s[0])
 
 
-def _sigma_n_batch(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-th singular value (0 when there are fewer columns) and the largest."""
-    s = np.linalg.svd(cols, compute_uv=False)
-    smax = s[:, 0] if s.shape[1] else np.zeros(cols.shape[0])
-    if s.shape[1] >= n:
-        sn = s[:, n - 1]
-    else:
-        sn = np.zeros(cols.shape[0])
-    return sn, smax
+_PRESCAN = 512
+_ANGULAR_RESTARTS = 8
+_FIRST_STEP = 0.1
+_MIN_STEP = 1e-13
+_MAX_STEPS = 400
 
 
-def _min_sigma_search(point_cols, n: int, restarts: int, seed: int,
-                      prescan: int = 512):
-    """Multistart minimization of sigma_n(point_cols(x)) over the unit sphere.
+def _sigma_n(mats: np.ndarray, pts: np.ndarray):
+    """n-th and largest singular values of the columns M_k x at each row x of
+    pts, and the gradient sum_k v_k M_k^T u of the n-th one, where u and v
+    are its singular vectors.  mats is (d, n, n) with d >= n."""
+    n = pts.shape[1]
+    u, s, vh = np.linalg.svd(_stacked_batch(mats, pts), full_matrices=False)
+    grad = np.einsum("pi,pij->pj", u[:, :, n - 1],
+                     np.einsum("pd,dij->pij", vh[:, n - 1, :], mats))
+    return s[:, n - 1], s[:, 0], grad
 
-    point_cols maps a batch of unit points (P, n) to column stacks (P, n, d).
-    Returns (min_sigma, argmin, sigma_max at argmin).
+
+def _min_sigma_search(mats: np.ndarray, pts: np.ndarray, restarts: int):
+    """Minimize sigma_n of the columns M_k x over the unit sphere.
+
+    The rows of pts are scanned; projected gradient descent then moves the
+    ``restarts`` lowest of them at once (none: scan only).  Each row takes
+    normalized tangent steps of its own length, which doubles after a
+    decrease and halves otherwise, until every step is below _MIN_STEP or
+    _MAX_STEPS have passed.  Returns (min_sigma, argmin, sigma_max there).
     """
-    pts = _unit_samples(n, prescan, seed)
-    sn, smax = _sigma_n_batch(point_cols(pts), n)
-    order = np.argsort(sn)
-
-    def objective(v):
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0 or not np.all(np.isfinite(v)):
-            return np.inf
-        u = (v / nrm)[None, :]
-        return float(_sigma_n_batch(point_cols(u), n)[0][0])
-
-    best_idx = int(order[0])
-    best = (float(sn[best_idx]), pts[best_idx], float(smax[best_idx]))
-    for k in range(min(restarts, prescan)):
-        x0 = pts[order[k]]
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-15})
-        v = res.x / np.linalg.norm(res.x)
-        sn_v, smax_v = _sigma_n_batch(point_cols(v[None, :]), n)
-        if sn_v[0] < best[0]:
-            best = (float(sn_v[0]), v, float(smax_v[0]))
-    return best
+    sn, smax, grad = _sigma_n(mats, pts)
+    keep = np.argsort(sn, kind="stable")[:max(restarts, 1)]
+    x, f, fmax, g = pts[keep], sn[keep], smax[keep], grad[keep]
+    step = np.full(len(keep), _FIRST_STEP if restarts > 0 else 0.0)
+    for _ in range(_MAX_STEPS):
+        step[step < _MIN_STEP] = 0.0
+        if not step.any():
+            break
+        tangent = g - np.sum(g * x, axis=1, keepdims=True) * x
+        norm = np.maximum(np.linalg.norm(tangent, axis=1, keepdims=True), 1e-300)
+        y = x - step[:, None] * tangent / norm
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        fy, fmax_y, g_y = _sigma_n(mats, y)
+        better = fy < f
+        x[better], f[better], fmax[better], g[better] = \
+            y[better], fy[better], fmax_y[better], g_y[better]
+        step = np.where(better, 2.0 * step, 0.5 * step)
+    k = int(np.argmin(f))
+    return float(f[k]), x[k], float(fmax[k])
 
 
 def min_rank_search(spec: SystemSpec, restarts: int = 12, seed: int = 0,
-                    tol: float = DEFAULT_TOL, basis: LieBasis | None = None,
-                    prescan: int = 512) -> MinRankResult:
+                    tol: float = DEFAULT_TOL,
+                    basis: LieBasis | None = None) -> MinRankResult:
     """Search the unit sphere for the smallest n-th singular value of the
     stacked closure evaluation; a relative near-zero flags a rank-drop witness.
     """
@@ -208,11 +213,8 @@ def min_rank_search(spec: SystemSpec, restarts: int = 12, seed: int = 0,
         smax = float(np.linalg.svd(basis.stacked_at(x), compute_uv=False)[0]) \
             if basis.dim else 0.0
         return MinRankResult(0.0, x, smax, True)
-
-    def cols(pts):
-        return _stacked_batch(basis, pts)
-
-    sigma, argmin, smax = _min_sigma_search(cols, n, restarts, seed, prescan)
+    sigma, argmin, smax = _min_sigma_search(
+        np.stack(basis.basis), _unit_samples(n, _PRESCAN, seed), restarts)
     return MinRankResult(sigma, argmin, smax,
                          is_witness=sigma <= tol * max(smax, 1e-300))
 
@@ -239,34 +241,25 @@ def monotone_norm_certificate(family: MatrixFamily,
 
 def angular_accessibility(spec: SystemSpec, samples: int = 1000, seed: int = 0,
                           tol: float = DEFAULT_TOL,
-                          basis: LieBasis | None = None,
-                          restarts: int = 8) -> AngularReport:
+                          basis: LieBasis | None = None) -> AngularReport:
     """Check whether closure directions plus the radial line span R^n
-    everywhere, by sampling plus multistart minimization of the augmented
-    smallest singular value.  A near-singular point is an inaccessibility
-    witness.
+    everywhere: the same sphere search as min_rank_search, on the closure
+    basis plus the identity (whose column is x itself), over ``samples``
+    scan points.  A near-singular point is an inaccessibility witness.
     """
     _require_bilinear(spec)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     basis = _closure(spec, tol, basis)
     n = spec.n
-
-    def cols(pts):
-        if basis.dim == 0:
-            return pts[:, :, None]
-        return np.concatenate([_stacked_batch(basis, pts), pts[:, :, None]], axis=2)
-
     pts = _unit_samples(n, samples, seed)
-    sn, smax = _sigma_n_batch(cols(pts), n)
-    bad = sn <= tol * np.maximum(smax, 1e-300)
-    if bad.any():
-        k = int(np.argmin(sn))
-        return AngularReport("inaccessible", pts[k], float(sn[k]))
-    sigma, argmin, smax_pt = _min_sigma_search(cols, n, restarts, seed, prescan=256)
-    if sigma <= tol * max(smax_pt, 1e-300):
-        return AngularReport("inaccessible", argmin, float(sigma))
-    return AngularReport("accessible", None, float(sigma))
+    if basis.dim + 1 < n:
+        return AngularReport("inaccessible", pts[0], 0.0)
+    mats = np.stack(basis.basis + (np.eye(n),))
+    sigma, argmin, smax = _min_sigma_search(mats, pts, _ANGULAR_RESTARTS)
+    if sigma <= tol * max(smax, 1e-300):
+        return AngularReport("inaccessible", argmin, sigma)
+    return AngularReport("accessible", None, sigma)
 
 
 def orbit_dimension_profile(spec: SystemSpec, samples: int = 100, seed: int = 0,
@@ -280,7 +273,7 @@ def orbit_dimension_profile(spec: SystemSpec, samples: int = 100, seed: int = 0,
     pts = _unit_samples(spec.n, samples, seed)
     if basis.dim == 0:
         return (0,) * samples
-    s = np.linalg.svd(_stacked_batch(basis, pts), compute_uv=False)
+    s = np.linalg.svd(_stacked_batch(np.stack(basis.basis), pts), compute_uv=False)
     smax = np.maximum(s[:, 0], 1e-300)
     return tuple(int(d) for d in np.sum(s > tol * smax[:, None], axis=1))
 

@@ -88,7 +88,7 @@ def lie_closure(generators, tol: float = DEFAULT_TOL, depth_cap: int | None = No
     not depend on their relative scale.  Breadth-first bracketing of basis
     pairs; a candidate direction is admitted only when its residual after
     projection onto the current span exceeds ``tol`` times the largest matrix
-    norm seen.  The ordering (generator index, then discovery order) is
+    norm seen; ``tol`` must lie in (0, 1).  The ordering (generator index, then discovery order) is
     deterministic so results are reproducible.  ``depth_cap`` bounds the
     number of bracketing rounds (default 2*n*n).
     """
@@ -100,8 +100,8 @@ def lie_closure(generators, tol: float = DEFAULT_TOL, depth_cap: int | None = No
     for i, m in enumerate(mats):
         if m.shape[0] != n:
             raise ValueError(f"generators[{i}] has dimension {m.shape[0]}, expected {n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if depth_cap is None:
         depth_cap = 2 * n * n
 

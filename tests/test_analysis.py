@@ -14,7 +14,7 @@ from bilinctrl.analysis import (
     transversality_at,
 )
 from bilinctrl.matlie import lie_closure
-from bilinctrl.model import ControlSchedule, builtin_corpus, random_system
+from bilinctrl.model import ControlSchedule, bilinear_system, builtin_corpus, random_system
 from bilinctrl.reach import simulate_bilinear
 
 from oracles import circle_min_sigma, projected_tangent_rank
@@ -67,6 +67,51 @@ def test_min_rank_planar_jd_bounded_below():
     basis = lie_closure(PJ.family.matrices)
     oracle = circle_min_sigma(basis.basis, 2)
     assert res.min_sigma == pytest.approx(oracle, rel=1e-6)
+
+
+def test_sphere_search_matches_circle_oracle_where_sigma_varies():
+    # span{I, [[0, -4], [1, 0]]}: sigma_2 ranges over 0.44 above its
+    # minimum of 0.2425 on the circle, so the oracle pins the descent
+    spec = bilinear_system([np.eye(2), [[0.0, -4.0], [1.0, 0.0]]])
+    basis = lie_closure(spec.family.matrices)
+    oracle = circle_min_sigma(basis.basis, 2)
+    assert oracle == pytest.approx(0.2425, abs=1e-4)
+    for seed in (0, 1, 2):
+        res = min_rank_search(spec, restarts=4, seed=seed, basis=basis)
+        assert not res.is_witness
+        assert res.min_sigma == pytest.approx(oracle, rel=1e-6)
+        assert res.min_sigma <= oracle * (1 + 1e-12)
+    ang = angular_accessibility(spec, samples=400, seed=0, basis=basis)
+    assert ang.status == "accessible"
+    assert ang.min_sigma == pytest.approx(
+        circle_min_sigma(basis.basis + (np.eye(2),), 2), rel=1e-6)
+
+
+# Rank drops on thin sets: {diag(1, -1), E12} only on the line x2 = 0,
+# {diag(1, 1, 0), L_z, diag(0, 0, 1)} on the plane x3 = 0.
+THIN = (
+    [np.diag([1.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]]],
+    [np.diag([1.0, 1.0, 0.0]), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+     np.diag([0.0, 0.0, 1.0])],
+)
+
+
+def test_min_rank_descent_finds_thin_rank_drops():
+    for mats in THIN:
+        spec = bilinear_system(mats)
+        basis = lie_closure(spec.family.matrices)
+        for seed in (0, 1, 2):
+            # the scan alone stays clear of the drop set
+            assert not min_rank_search(spec, restarts=0, seed=seed,
+                                       basis=basis).is_witness
+            res = min_rank_search(spec, seed=seed, basis=basis)
+            assert res.is_witness
+            assert np.linalg.norm(res.argmin) == pytest.approx(1.0)
+            cols = np.column_stack([b @ res.argmin for b in basis.basis])
+            s = np.linalg.svd(cols, compute_uv=False)
+            assert s[spec.n - 1] <= 1e-9 * s[0]
+    thin2 = bilinear_system(THIN[0])
+    assert angular_accessibility(thin2, samples=400, seed=0).status == "inaccessible"
 
 
 def test_min_rank_identity_only():
@@ -176,7 +221,6 @@ def test_decide_scale_invariance():
 def test_decide_badly_scaled_generators_never_certified():
     # sl(2) from {[[s, 1], [0, -s]], J} has rank 2 everywhere whatever s is,
     # and {I + J, eps (-I + J)} spirals both out and in
-    from bilinctrl.model import bilinear_system
     budgets = AnalysisBudgets(samples=300, restarts=2, profile_samples=20,
                               reach_budget=500)
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -192,7 +236,6 @@ def test_decide_badly_scaled_generators_never_certified():
 
 
 def test_decide_scalar_systems():
-    from bilinctrl.model import bilinear_system
     grow = bilinear_system([np.array([[1.0]])], name="grow")
     v = decide_controllability(grow, AnalysisBudgets(samples=100, reach_budget=500))
     assert v.conclusion == "not_controllable"

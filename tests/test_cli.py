@@ -85,6 +85,17 @@ def test_analyze_invalid_spec(tmp_path, capsys):
     assert "not square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "1", "2", "0"])
+def test_analyze_rejects_bad_tolerance(tmp_path, capsys, tol):
+    # a relative tolerance of 1 or more, or NaN, would put a rank drop
+    # at every point and certify planar_jd as not controllable
+    out = tmp_path / "report.json"
+    assert run("analyze", "--builtin", "planar_jd", "--samples", "200",
+               "--budget", "2000", "--tol", tol, "--out", str(out)) == EXIT_INVALID
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_missing_file():
     assert run("analyze", "--spec", "/nonexistent/system.json") == EXIT_INVALID
 

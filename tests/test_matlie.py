@@ -91,6 +91,12 @@ def test_closure_empty_generators():
         lie_closure([])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0, np.nan, np.inf])
+def test_closure_rejects_tol_outside_unit_interval(tol):
+    with pytest.raises(ValueError, match="tol"):
+        lie_closure([E12, E21], tol=tol)
+
+
 def test_closure_depth_cap_flags_nonconvergence():
     basis = lie_closure([E12, E21], depth_cap=0)
     assert not basis.converged
