@@ -32,6 +32,14 @@ EXIT_NUMERICAL = 3
 FOLIATION_EXAMPLES = ("sphere", "radial_graph_h03")
 
 
+def tolerance(text: str) -> float:
+    """A relative tolerance: a number strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bilinctrl",
@@ -42,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-9)
+    common.add_argument("--tol", type=tolerance, default=1e-9)
     common.add_argument("--samples", type=int, default=10000)
     common.add_argument("--budget", type=int, default=100000)
     common.add_argument("--coverage-threshold", type=float, default=0.99)
@@ -308,8 +316,10 @@ def cmd_corpus(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ValueError as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .matlie import LieBasis, lie_closure
 from .model import SystemSpec
-from .reach import spread_directions
+from .reach import rk_step, spread_directions
 
 
 class FoliationError(RuntimeError):
@@ -230,30 +230,6 @@ class FirstReturnResult:
     section: PlanarSection
 
 
-# Fehlberg 4(5) tableau.
-_RK_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RK_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RK_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-
-
-def _rk_step(f, u, h):
-    """One Fehlberg step: 5th-order state and an embedded error estimate."""
-    ks = []
-    for row in _RK_A:
-        du = sum(c * k for c, k in zip(row, ks)) if row else 0.0
-        ks.append(f(u + h * du))
-    u5 = u + h * sum(c * k for c, k in zip(_RK_B5, ks))
-    u4 = u + h * sum(c * k for c, k in zip(_RK_B4, ks))
-    return u5, float(np.linalg.norm(u5 - u4))
-
-
 def first_return(distr: RadialDistribution, section: PlanarSection,
                  event_tol: float = 1e-10, start=None,
                  arc_budget: float | None = None, rtol: float = 1e-10,
@@ -293,7 +269,7 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
     for _ in range(max_steps):
         r = float(np.linalg.norm(us[-1]))
         h = min(h, 0.1 * r)  # keeps the angle increment small, one event per step
-        u_new, err = _rk_step(f, us[-1], h)
+        u_new, err = rk_step(f, us[-1], h)
         tol = atol + rtol * float(np.linalg.norm(us[-1]))
         if err > tol:
             h = max(1e-8, h * max(0.2, 0.9 * (tol / err) ** 0.2))
@@ -308,7 +284,7 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
             u_lo = us[-1]
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                u_mid, _ = _rk_step(f, us[-1], mid)
+                u_mid, _ = rk_step(f, us[-1], mid)
                 if u_mid[1] > 0.0:
                     lo, u_lo = mid, u_mid
                 else:

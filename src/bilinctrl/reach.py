@@ -1,12 +1,12 @@
 """Exact piecewise-constant simulation, attainable-set sampling, coverage.
 
 Bilinear schedules are products of flows exp(t M_k) x, applied by one batched
-kernel in simulation, sampling and reach search alike; smooth schedules are
-integrated adaptively.  Attainable-set clouds are produced by a seeded
-random-schedule sampler whose per-schedule randomness is a pure function of
-(seed, schedule index), so any execution order yields the same cloud.
-Coverage is measured on angular cells (equal-area for n <= 3) crossed with
-log-radial bins over an annulus.
+kernel, and smooth ones go through one batched Fehlberg integrator, in
+simulation, sampling and reach search alike.  Attainable-set clouds are
+produced by a seeded random-schedule sampler whose per-schedule randomness is
+a pure function of (seed, schedule index), so any execution order yields the
+same cloud.  Coverage is measured on angular cells (equal-area for n <= 3)
+crossed with log-radial bins over an annulus.
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .model import ControlSchedule, MatrixFamily, SystemSpec
 
 DEGENERATE_NORM = 1e-300
 BLOWUP_NORM = 1e12
-
-# Displacement per step, relative to the point radius, in the batched smooth
-# sampler.  Coverage is a density proxy; the contract-grade integrator is
-# simulate_smooth.
-_BATCH_STEP = 0.05
-_BATCH_FREEZE_NORM = 1e9
+SMOOTH_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,66 +132,129 @@ def simulate_bilinear(family: MatrixFamily, schedule: ControlSchedule, x0,
     return _FamilyFlows(family).simulate(schedule, x0, record_dt)
 
 
-def simulate_smooth(spec: SystemSpec, schedule: ControlSchedule, x0,
-                    step_tol: float = 1e-10,
-                    record_dt: float | None = None) -> Trajectory:
-    """Integrate the switched smooth system with adaptive error control.
+# --- smooth fields: one batched Fehlberg 4(5) integrator --------------------
 
-    Local error is kept at roughly step_tol per unit time.  Integration stops
-    early with status "blowup" when the state norm exceeds BLOWUP_NORM, and
-    reports "degenerate" if the norm underflows toward zero.
-    """
+_RK_A = (
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+_RK_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+_RK_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+
+
+def rk_step(f, u, h):
+    """One Fehlberg 4(5) step of u' = f(u) for a state or a stack of rows u,
+    with one signed step h or one per row: the 5th-order states and the norm
+    of each row's embedded error estimate."""
+    h = np.asarray(h, dtype=float)[..., None]
+    ks = [f(u)]
+    for row in _RK_A:
+        ks.append(f(u + h * sum(c * k for c, k in zip(row, ks))))
+    u5 = u + h * sum(c * k for c, k in zip(_RK_B5, ks) if c)
+    u4 = u + h * sum(c * k for c, k in zip(_RK_B4, ks) if c)
+    return u5, np.linalg.norm(u5 - u4, axis=-1)
+
+
+def _field_rows(spec, field):
+    """The map u -> (fields[field[r]](u[r]))_r on stacks of rows u."""
+    ks = np.unique(field)
+    if ks.size == 1:
+        return spec.fields[ks[0]]
+    groups = [(spec.fields[k], np.flatnonzero(field == k)) for k in ks]
+
+    def f(u):
+        out = np.empty_like(u)
+        for fk, g in groups:
+            out[g] = fk(u[g])
+        return out
+    return f
+
+
+def _integrate_table(spec, x0s, indices, durations):
+    """Run the segments (indices[r, j], durations[r, j]) of each table row r
+    from x0s[r], one clock and step size per row, local error per step below
+    SMOOTH_TOL * (1 + |x|); a negative duration runs backward.  Returns
+    (bounds, stop, left): bounds[r, j] is row r's state after segment j.  A
+    row stops once its norm passes BLOWUP_NORM or its step no longer moves
+    its clock, in segment stop[r] (else the segment count) with left[r] of it
+    to go, and stays put in bounds from there on."""
+    rows, segs = durations.shape
+    bounds = np.empty((rows, segs, x0s.shape[1]))
+    stop, left = np.full(rows, segs), np.zeros(rows)
+    # live rows with their states, segments, time left in them and steps
+    live, x, seg = np.arange(rows), np.array(x0s, dtype=float), np.full(rows, -1)
+    rem, h = np.zeros(rows), np.full(rows, 0.01)
+    # trial steps that overflow have a non-finite error and are rejected
+    with np.errstate(all="ignore"):
+        while True:
+            if not rem.all():
+                done = np.flatnonzero((rem == 0.0) & (seg < segs))
+                while done.size:
+                    rec = done[seg[done] >= 0]
+                    bounds[live[rec], seg[rec]] = x[rec]
+                    seg[done] += 1
+                    done = done[seg[done] < segs]
+                    rem[done] = np.abs(durations[live[done], seg[done]])
+                    done = done[rem[done] == 0.0]
+                keep = seg < segs
+                live, x, seg, rem, h = live[keep], x[keep], seg[keep], rem[keep], h[keep]
+                if not live.size:
+                    return bounds, stop, left
+                dur, f = durations[live, seg], _field_rows(spec, indices[live, seg])
+            step = np.minimum(h, rem)
+            u5, err = rk_step(f, x, np.copysign(step, dur))
+            tol = SMOOTH_TOL * (1.0 + np.linalg.norm(x, axis=1))
+            ok = err <= tol
+            grow = np.clip(0.9 * np.fmax(tol / err, 0.0) ** 0.2, 0.2, 5.0)
+            h = np.where(ok & (step < h), h, step * grow)
+            x[ok] = u5[ok]
+            rem = np.where(ok, rem - step, rem)  # exactly 0 after the last step
+            t = np.abs(dur) - rem  # time into the segment
+            halt = (ok & (np.linalg.norm(u5, axis=1) > BLOWUP_NORM)) | (t + h == t)
+            if halt.any():
+                gone = live[halt]
+                stop[gone], left[gone] = seg[halt], rem[halt]
+                after = np.arange(segs)[None, :, None] >= seg[halt][:, None, None]
+                bounds[gone] = np.where(after, x[halt][:, None, :], bounds[gone])
+                seg[halt], rem[halt] = segs, 0.0
+
+
+def simulate_smooth(spec: SystemSpec, schedule: ControlSchedule, x0,
+                    record_dt: float | None = None) -> Trajectory:
+    """Integrate the switched smooth system as a one-row table, recording
+    each segment's end, or with record_dt the ends of ceil(|dur| / record_dt)
+    equal pieces of it.  Stops with status "blowup" where the norm passes
+    BLOWUP_NORM and "degenerate" where it underflows toward zero; raises
+    OverflowError where the step no longer moves the clock (a field turned
+    non-finite)."""
     if spec.is_bilinear:
         raise ValueError("simulate_smooth expects a smooth system")
     x0 = _check_x0(x0, spec.n)
     _check_schedule(schedule, spec.num_fields)
-    if step_tol <= 0:
-        raise ValueError("step_tol must be positive")
-
-    times = [0.0]
-    states = [x0]
-    status = "ok"
-    t = 0.0
-    x = x0
-
-    def blowup_event(_t, y):
-        return float(np.linalg.norm(y)) - BLOWUP_NORM
-
-    blowup_event.terminal = True
-
-    for idx, dur in schedule.segments:
-        if dur == 0.0:
-            times.append(t)
-            states.append(x)
-            continue
-        field = spec.fields[idx]
-        if record_dt is not None and abs(dur) > record_dt:
-            k = int(np.ceil(abs(dur) / record_dt))
-            t_eval = np.linspace(0.0, dur, k + 1)[1:]
-        else:
-            t_eval = np.array([dur])
-        sol = solve_ivp(lambda _t, y: np.asarray(field(y), dtype=float),
-                        (0.0, dur), x, method="RK45",
-                        rtol=step_tol, atol=step_tol, t_eval=t_eval,
-                        events=blowup_event, dense_output=False)
-        if not sol.success and sol.status != 1:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        sol_t = np.asarray(sol.t)
-        for k in range(sol_t.size):
-            times.append(t + sol_t[k])
-            states.append(np.asarray(sol.y)[:, k])
-        if sol.status == 1:
-            times.append(t + sol.t_events[0][0])
-            states.append(sol.y_events[0][0])
-            status = "blowup"
-        x = states[-1]
-        t = times[-1]
-        if status == "blowup":
-            break
-        if np.linalg.norm(x) < DEGENERATE_NORM:
-            status = "degenerate"
-            break
-    return Trajectory(np.array(times), np.array(states), schedule, status)
+    if record_dt is not None and not record_dt > 0:
+        raise ValueError("record_dt must be positive")
+    times, idx, durs = [0.0], [], []
+    for i, dur in schedule.segments:
+        steps = 1 if record_dt is None or dur == 0.0 else int(np.ceil(abs(dur) / record_dt))
+        times.extend(times[-1] + (dur / steps) * np.arange(1, steps + 1))
+        idx += [i] * steps
+        durs += [dur / steps] * steps
+    bounds, stop, left = _integrate_table(
+        spec, x0[None, :], np.array([idx], dtype=int), np.array([durs], dtype=float))
+    states = np.vstack([x0, bounds[0]])
+    status, last = "ok", len(durs)
+    if stop[0] < last:
+        status, last, dur = "blowup", stop[0] + 1, durs[stop[0]]
+        if not np.linalg.norm(states[last]) > BLOWUP_NORM:
+            raise OverflowError("smooth integration stalled: its step no longer moves the clock")
+        times[last] = times[last - 1] + np.copysign(abs(dur) - left[0], dur)
+    low = np.flatnonzero(np.linalg.norm(states[1:last + 1], axis=1) < DEGENERATE_NORM)
+    if low.size:
+        status, last = "degenerate", low[0] + 1
+    return Trajectory(np.array(times[:last + 1]), states[:last + 1], schedule, status)
 
 
 def simulate(spec: SystemSpec, schedule: ControlSchedule, x0, **kwargs) -> Trajectory:
@@ -252,55 +309,6 @@ def _sample_bilinear(flows, x0, indices, durations):
     return x, np.vstack(visited) if visited else x.copy()
 
 
-def _sample_smooth(spec, x0, indices, durations):
-    budget, max_segments = indices.shape
-    x = np.broadcast_to(x0, (budget, x0.size)).astype(float).copy()
-    frozen = np.zeros(budget, dtype=bool)
-    visited = []
-
-    def field_eval(pts, idx):
-        out = np.empty_like(pts)
-        for k in range(spec.num_fields):
-            rows = idx == k
-            if rows.any():
-                out[rows] = spec.fields[k](pts[rows])
-        return out
-
-    for j in range(max_segments):
-        remaining = durations[:, j].copy()
-        remaining[frozen] = 0.0
-        idx_col = indices[:, j]
-        while True:
-            active = np.flatnonzero(remaining > 0.0)
-            if active.size == 0:
-                break
-            pts = x[active]
-            idx = idx_col[active]
-            k1 = field_eval(pts, idx)
-            speed = np.linalg.norm(k1, axis=1)
-            radius = np.linalg.norm(pts, axis=1)
-            h_cap = _BATCH_STEP * (1.0 + radius) / (1.0 + speed)
-            h = np.minimum(remaining[active], h_cap)[:, None]
-            k2 = field_eval(pts + 0.5 * h * k1, idx)
-            k3 = field_eval(pts + 0.5 * h * k2, idx)
-            k4 = field_eval(pts + h * k3, idx)
-            step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            new_pts = pts + step
-            norms = np.linalg.norm(new_pts, axis=1)
-            bad = ~np.all(np.isfinite(new_pts), axis=1) | (norms > _BATCH_FREEZE_NORM)
-            new_pts[bad] = pts[bad]
-            x[active] = new_pts
-            remaining[active] -= h[:, 0]
-            if bad.any():
-                rows = active[bad]
-                frozen[rows] = True
-                remaining[rows] = 0.0
-        seg_rows = durations[:, j] > 0.0
-        if seg_rows.any():
-            visited.append(x[seg_rows].copy())
-    return x, np.vstack(visited) if visited else x.copy()
-
-
 def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
                       max_segments: int = 20, duration_scale: float = 0.5,
                       boundaries: bool = True) -> np.ndarray:
@@ -324,11 +332,14 @@ def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
 
 def _sample(spec, flows, x0, indices, durations):
     """(endpoints, segment-boundary states) of every schedule row from x0,
-    through the flow kernel for a bilinear system and the batched RK4
-    stepper for a smooth one."""
-    if flows is None:
-        return _sample_smooth(spec, x0, indices, durations)
-    return _sample_bilinear(flows, x0, indices, durations)
+    through the flow kernel for a bilinear system and the Fehlberg table
+    integrator for a smooth one; a smooth row that blows up stays put."""
+    if flows is not None:
+        return _sample_bilinear(flows, x0, indices, durations)
+    bounds, _, _ = _integrate_table(
+        spec, np.broadcast_to(x0, (indices.shape[0], x0.size)), indices, durations)
+    visited = [bounds[durations[:, j] > 0.0, j] for j in range(durations.shape[1])]
+    return bounds[:, -1], np.vstack(visited)
 
 
 # --- coverage grids ---------------------------------------------------------

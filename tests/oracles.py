@@ -3,14 +3,16 @@
 These deliberately avoid the library's numerical code paths: the closure
 oracle works in exact rational arithmetic with Gaussian elimination, the
 grid oracle scans the unit circle densely, the flow oracle multiplies plain
-scipy matrix exponentials, and the tangent-rank oracle pushes the closure to
-the sphere instead of appending the radial line.
+scipy matrix exponentials, the smooth-flow oracle runs scipy's DOP853 at a
+tight tolerance, and the tangent-rank oracle pushes the closure to the
+sphere instead of appending the radial line.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from bilinctrl.model import project_sphere
 
@@ -117,3 +119,22 @@ def projected_tangent_rank(basis, x, tol=1e-9):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def smooth_endpoint(fields, segments, x0, blowup_norm):
+    """Endpoint of x0 along (field index, duration) segments of smooth
+    fields: scipy's DOP853 at rtol = atol = 1e-13, one call per segment.
+    None once the norm passes blowup_norm."""
+
+    def escape(_t, y):
+        return np.linalg.norm(y) - blowup_norm
+
+    escape.terminal = True
+    x = np.asarray(x0, dtype=float)
+    for idx, dur in segments:
+        sol = solve_ivp(lambda _t, y: fields[idx](y), (0.0, dur), x,
+                        method="DOP853", rtol=1e-13, atol=1e-13, events=escape)
+        if sol.status == 1:
+            return None
+        x = sol.y[:, -1]
+    return x

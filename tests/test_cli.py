@@ -181,3 +181,34 @@ def test_foliation_numerical_failure_exit_code(tmp_path, capsys):
                "--out", str(out))
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--builtin", "so3", "--seed", "abc"),
+    ("analyze",),
+    ("reach", "--builtin", "so3", "--budget", "many"),
+])
+def test_usage_errors_exit_invalid(capsys, argv):
+    # argparse's own exit code, 2, is the code for an undetermined verdict
+    assert run(*argv) == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    assert run(flag) == EXIT_OK
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--builtin", "example1", "--samples", "200", "--budget", "200"),
+    ("reach", "--builtin", "planar_jd", "--budget", "100"),
+    ("foliation", "--example", "sphere", "--theta-samples", "2"),
+    ("corpus",),
+])
+def test_every_subcommand_rejects_bad_tolerance(tmp_path, capsys, argv):
+    # NaN used to reach the reports, which then were not valid JSON
+    out = tmp_path / "out"
+    assert run(*argv, "--tol", "nan", "--out", str(out)) == EXIT_INVALID
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()

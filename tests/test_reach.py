@@ -9,6 +9,7 @@ from bilinctrl.model import (
     smooth_system,
 )
 from bilinctrl.reach import (
+    BLOWUP_NORM,
     CoverageGrid,
     approx_reach_test,
     coverage,
@@ -16,9 +17,11 @@ from bilinctrl.reach import (
     simulate,
     simulate_bilinear,
     simulate_smooth,
+    _schedule_from_row,
+    _schedule_tables,
 )
 
-from oracles import expm_product
+from oracles import expm_product, smooth_endpoint
 
 PJ = builtin_corpus("planar_jd")
 SO3 = builtin_corpus("so3")
@@ -113,6 +116,13 @@ def test_smooth_translation_segment():
     assert np.linalg.norm(traj.endpoint - [0.0, 1.0]) <= 1e-8
 
 
+def test_smooth_orbit_mode_backward_segment():
+    back = ControlSchedule(((0, -2.0),), attainable_mode=False)
+    traj = simulate_smooth(EX1, back, [0.0, 1.0])
+    np.testing.assert_allclose(traj.endpoint, [0.0, -1.0], atol=1e-12)
+    assert traj.times[-1] == -2.0 and traj.status == "ok"
+
+
 def test_smooth_gated_fields_fixed_on_half_line():
     for idx in (2, 3):
         traj = simulate_smooth(EX1, ControlSchedule(((idx, 5.0),)), [0.0, -1.0])
@@ -125,10 +135,57 @@ def test_smooth_right_pusher_moves_right():
 
 
 def test_smooth_blowup_detection():
-    # the gated pusher grows like x^2 and escapes in finite time
-    traj = simulate_smooth(EX1, ControlSchedule(((2, 10.0),)), [1.0, 1.0])
-    assert traj.status == "blowup"
-    assert np.linalg.norm(traj.states[-1]) >= 1e11
+    # the gated pusher grows like x^2 and escapes in finite time, also
+    # within a segment far longer than the escape time; on y = 1 it is
+    # x' = x^2 + w^2 with w = exp(-1/2), so the recorded time must be the
+    # closed-form time of reaching the recorded state
+    w = np.exp(-0.5)
+    for dur in (10.0, 1000.0):
+        traj = simulate_smooth(EX1, ControlSchedule(((2, dur),)), [1.0, 1.0])
+        assert traj.status == "blowup"
+        assert np.linalg.norm(traj.states[-1]) >= 1e11
+        t_end = (np.arctan(traj.endpoint[0] / w) - np.arctan(1.0 / w)) / w
+        assert traj.times[-1] == pytest.approx(t_end, rel=1e-9)
+
+
+def test_smooth_stall_raises():
+    # the field is NaN from x = 2 on, which it reaches 2 time units into the
+    # segment: steps toward it shrink until they no longer move that clock
+    def wall(pts):
+        out = np.zeros_like(pts)
+        out[..., 0] = np.where(pts[..., 0] < 2.0, 1.0, np.nan)
+        return out
+
+    with pytest.raises(OverflowError):
+        simulate_smooth(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
+                        [0.0, 1.0])
+
+
+def test_smooth_sampler_rows_replay_exactly():
+    # the sampler and simulate_smooth run the same integrator, one clock per
+    # row, so every sampled row replays bit for bit, blown-up rows included
+    _, indices, durations = _schedule_tables(4, 30, 0, 20, 0.5)
+    for x0 in ([0.0, 1.0], [0.0, -1.0]):
+        ends = sample_attainable(EX1, x0, 30, seed=0, boundaries=False)
+        for i in range(30):
+            sched = _schedule_from_row(indices[i], durations[i])
+            assert np.array_equal(simulate_smooth(EX1, sched, x0).endpoint, ends[i])
+        assert (np.linalg.norm(ends, axis=1) > BLOWUP_NORM).any()
+
+
+def test_smooth_sampler_agrees_with_dop853_oracle():
+    # rows the oracle carries through agree within 1e-6 relative; rows it
+    # sees pass BLOWUP_NORM are stopped past it by the sampler too
+    _, indices, durations = _schedule_tables(4, 30, 1, 20, 0.5)
+    for x0 in ([0.0, 1.0], [0.0, -1.0]):
+        ends = sample_attainable(EX1, x0, 30, seed=1, boundaries=False)
+        for i in range(30):
+            segs = _schedule_from_row(indices[i], durations[i]).segments
+            expect = smooth_endpoint(EX1.fields, segs, x0, BLOWUP_NORM)
+            if expect is None:
+                assert np.linalg.norm(ends[i]) > BLOWUP_NORM
+            else:
+                assert np.linalg.norm(ends[i] - expect) <= 1e-6 * np.linalg.norm(expect)
 
 
 def test_simulate_nilpotent_closed_form():
@@ -150,10 +207,11 @@ def test_simulate_nilpotent_closed_form():
 
 
 def test_simulate_rejects_nonpositive_record_dt():
-    for bad in (0.0, -0.5):
-        with pytest.raises(ValueError):
-            simulate_bilinear(PJ.family, ControlSchedule(((0, 1.0),)), [1.0, 0.0],
-                              record_dt=bad)
+    for sim, system, x0 in ((simulate_bilinear, PJ.family, [1.0, 0.0]),
+                            (simulate_smooth, EX1, [0.0, 1.0])):
+        for bad in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                sim(system, ControlSchedule(((0, 1.0),)), x0, record_dt=bad)
 
 
 def test_simulate_overflow_raises():
