@@ -304,6 +304,8 @@ def decide_controllability(spec: SystemSpec,
     """
     if budgets is None:
         budgets = AnalysisBudgets()
+    if not 0.0 < budgets.coverage_threshold <= 1.0:
+        raise ValueError("coverage_threshold must lie in (0, 1]")
     diagnostics: dict = {}
     lie_dim: int | None = None
     orbit_dims: tuple = ()

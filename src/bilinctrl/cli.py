@@ -40,6 +40,14 @@ def tolerance(text: str) -> float:
     return value
 
 
+def fraction(text: str) -> float:
+    """A fraction of a whole: a number in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bilinctrl",
@@ -53,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=tolerance, default=1e-9)
     common.add_argument("--samples", type=int, default=10000)
     common.add_argument("--budget", type=int, default=100000)
-    common.add_argument("--coverage-threshold", type=float, default=0.99)
+    common.add_argument("--coverage-threshold", type=fraction, default=0.99)
     common.add_argument("--grid", type=int, default=32,
                         help="number of angular cells (default 32)")
     common.add_argument("--radial-bins", type=int, default=16)

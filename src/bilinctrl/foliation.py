@@ -18,6 +18,11 @@ from .matlie import LieBasis, lie_closure
 from .model import SystemSpec
 from .reach import rk_step, spread_directions
 
+TRANS_TOL = 1e-9  # least |cos| between a leaf normal and the ray
+RETURN_RTOL = 1e-10
+RETURN_ATOL = 1e-12
+RETURN_MAX_STEPS = 200000
+
 
 class FoliationError(RuntimeError):
     """Base class for leaf-field integration failures."""
@@ -52,15 +57,13 @@ class RadialDistribution:
     (the normal never orthogonal to the position) is enforced at every probe.
     """
 
-    def __init__(self, n: int, normal_fn, leaf_fn=None, name: str = "",
-                 trans_tol: float = 1e-9):
+    def __init__(self, n: int, normal_fn, leaf_fn=None, name: str = ""):
         if n < 2:
             raise ValueError("radial distributions need n >= 2")
         self.n = int(n)
         self.normal_fn = normal_fn
         self.leaf_fn = leaf_fn
         self.name = name
-        self.trans_tol = float(trans_tol)
 
     def normal_at(self, x) -> np.ndarray:
         """Unit normal of the leaf through x; raises on transversality loss."""
@@ -73,7 +76,7 @@ class RadialDistribution:
         if nn == 0.0 or not np.all(np.isfinite(nv)):
             raise TransversalityError(f"degenerate normal at {x.tolist()}")
         nv = nv / nn
-        if abs(np.dot(nv, x / r)) < self.trans_tol:
+        if abs(np.dot(nv, x / r)) < TRANS_TOL:
             raise TransversalityError(
                 f"leaf tangent contains the radial direction at {x.tolist()}")
         return nv
@@ -232,8 +235,7 @@ class FirstReturnResult:
 
 def first_return(distr: RadialDistribution, section: PlanarSection,
                  event_tol: float = 1e-10, start=None,
-                 arc_budget: float | None = None, rtol: float = 1e-10,
-                 atol: float = 1e-12, max_steps: int = 200000) -> FirstReturnResult:
+                 arc_budget: float | None = None) -> FirstReturnResult:
     """Integrate the oriented leaf line from the pole to the opposite ray.
 
     The curve is integrated at unit speed in the section plane with adaptive
@@ -266,11 +268,11 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
     h = 0.01
     v_prev = vs[0]
 
-    for _ in range(max_steps):
+    for _ in range(RETURN_MAX_STEPS):
         r = float(np.linalg.norm(us[-1]))
         h = min(h, 0.1 * r)  # keeps the angle increment small, one event per step
         u_new, err = rk_step(f, us[-1], h)
-        tol = atol + rtol * float(np.linalg.norm(us[-1]))
+        tol = RETURN_ATOL + RETURN_RTOL * float(np.linalg.norm(us[-1]))
         if err > tol:
             h = max(1e-8, h * max(0.2, 0.9 * (tol / err) ** 0.2))
             continue
@@ -334,7 +336,7 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
         if t > arc_budget:
             raise NoReturnError(
                 f"no crossing of the opposite ray within arc length {arc_budget}")
-    raise NoReturnError(f"no crossing of the opposite ray within {max_steps} steps")
+    raise NoReturnError(f"no crossing of the opposite ray within {RETURN_MAX_STEPS} steps")
 
 
 def _theta_samples(n: int, count: int, seed: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Exact piecewise-constant simulation, attainable-set sampling, coverage.
 
-Bilinear schedules are products of flows exp(t M_k) x, applied by one batched
-kernel, and smooth ones go through one batched Fehlberg integrator, in
-simulation, sampling and reach search alike.  Attainable-set clouds are
+Schedules run as tables, one row per schedule, through one runner in
+simulation (a one-row table), sampling and reach search alike: bilinear rows
+are products of flows exp(t M_k) x applied by one batched kernel, smooth rows
+go through one batched Fehlberg integrator.  Attainable-set clouds are
 produced by a seeded random-schedule sampler whose per-schedule randomness is
 a pure function of (seed, schedule index), so any execution order yields the
 same cloud.  Coverage is measured on angular cells (equal-area for n <= 3)
@@ -21,14 +22,16 @@ from .model import ControlSchedule, MatrixFamily, SystemSpec
 DEGENERATE_NORM = 1e-300
 BLOWUP_NORM = 1e12
 SMOOTH_TOL = 1e-10
+_DESCENT_BATCH = 32  # reach-search candidates run as one table
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """States along a schedule; times[0] = 0 and states[0] = x0.
 
-    status is "ok", "degenerate" (norm underflowed toward 0) or "blowup"
-    (norm exceeded BLOWUP_NORM; the trajectory is truncated there).
+    status is "ok", "degenerate" (norm underflowed toward 0; the trajectory
+    is truncated there) or, for smooth systems only, "blowup" (norm exceeded
+    BLOWUP_NORM; the trajectory is truncated there).
     """
 
     times: np.ndarray
@@ -48,13 +51,6 @@ def _check_x0(x0, n) -> np.ndarray:
     if not np.all(np.isfinite(x0)) or not np.any(x0):
         raise ValueError("x0 must be finite and nonzero")
     return x0
-
-
-def _check_schedule(schedule: ControlSchedule, num_fields: int):
-    if schedule.max_index >= num_fields:
-        raise ValueError(
-            f"schedule uses field index {schedule.max_index}, "
-            f"but the system has {num_fields} fields")
 
 
 class _FamilyFlows:
@@ -89,47 +85,6 @@ class _FamilyFlows:
         y = xs @ vinv.T
         y = y * np.exp(ts[:, None] * w[None, :])
         return np.real(y @ v.T)
-
-    def simulate(self, schedule: ControlSchedule, x0: np.ndarray,
-                 record_dt: float | None = None) -> Trajectory:
-        """Trajectory of x0 along a validated schedule; see simulate_bilinear."""
-        times = [0.0]
-        states = [x0]
-        status = "ok"
-        x = x0
-        for idx, dur in schedule.segments:
-            if dur == 0.0:
-                # exp(0 M) = I: the state stays bit-identical
-                times.append(times[-1])
-                states.append(x)
-                continue
-            steps = 1 if record_dt is None else int(np.ceil(abs(dur) / record_dt))
-            offsets = (dur / steps) * np.arange(1, steps + 1)
-            xs = self.apply_rows(idx, offsets, np.broadcast_to(x, (steps, x.size)))
-            if not np.all(np.isfinite(xs)):
-                raise OverflowError("bilinear flow overflowed to a non-finite state")
-            times.extend(times[-1] + offsets)
-            states.extend(xs)
-            x = xs[-1]
-            if np.linalg.norm(x) < DEGENERATE_NORM:
-                status = "degenerate"
-                break
-        return Trajectory(np.array(times), np.array(states), schedule, status)
-
-
-def simulate_bilinear(family: MatrixFamily, schedule: ControlSchedule, x0,
-                      record_dt: float | None = None) -> Trajectory:
-    """Flow x0 through exp(t_k M_k) ... exp(t_1 M_1), recording boundaries.
-
-    With record_dt, interior states are recorded roughly every record_dt time
-    units inside each segment.  Raises OverflowError once the state is no
-    longer finite.
-    """
-    x0 = _check_x0(x0, family.n)
-    _check_schedule(schedule, len(family))
-    if record_dt is not None and not record_dt > 0:
-        raise ValueError("record_dt must be positive")
-    return _FamilyFlows(family).simulate(schedule, x0, record_dt)
 
 
 # --- smooth fields: one batched Fehlberg 4(5) integrator --------------------
@@ -178,15 +133,17 @@ def _integrate_table(spec, x0s, indices, durations):
     from x0s[r], one clock and step size per row, local error per step below
     SMOOTH_TOL * (1 + |x|); a negative duration runs backward.  Returns
     (bounds, stop, left): bounds[r, j] is row r's state after segment j.  A
-    row stops once its norm passes BLOWUP_NORM or its step no longer moves
-    its clock, in segment stop[r] (else the segment count) with left[r] of it
-    to go, and stays put in bounds from there on."""
+    row stops in segment stop[r] (else the segment count) with left[r] of it
+    to go once its norm passes BLOWUP_NORM, and then stays put in bounds, or
+    once its step no longer moves its clock, or its state right after a
+    rejected step, and then turns non-finite."""
     rows, segs = durations.shape
     bounds = np.empty((rows, segs, x0s.shape[1]))
     stop, left = np.full(rows, segs), np.zeros(rows)
-    # live rows with their states, segments, time left in them and steps
+    # live rows with their states, segments, time left in them, steps and
+    # whether their last trial step was rejected
     live, x, seg = np.arange(rows), np.array(x0s, dtype=float), np.full(rows, -1)
-    rem, h = np.zeros(rows), np.full(rows, 0.01)
+    rem, h, cut = np.zeros(rows), np.full(rows, 0.01), np.zeros(rows, dtype=bool)
     # trial steps that overflow have a non-finite error and are rejected
     with np.errstate(all="ignore"):
         while True:
@@ -200,7 +157,7 @@ def _integrate_table(spec, x0s, indices, durations):
                     rem[done] = np.abs(durations[live[done], seg[done]])
                     done = done[rem[done] == 0.0]
                 keep = seg < segs
-                live, x, seg, rem, h = live[keep], x[keep], seg[keep], rem[keep], h[keep]
+                live, x, seg, rem, h, cut = (a[keep] for a in (live, x, seg, rem, h, cut))
                 if not live.size:
                     return bounds, stop, left
                 dur, f = durations[live, seg], _field_rows(spec, indices[live, seg])
@@ -208,13 +165,19 @@ def _integrate_table(spec, x0s, indices, durations):
             u5, err = rk_step(f, x, np.copysign(step, dur))
             tol = SMOOTH_TOL * (1.0 + np.linalg.norm(x, axis=1))
             ok = err <= tol
+            # a step that moves the state fails, one that passes does not move it
+            stuck = ok & cut & (u5 == x).all(axis=1)
+            cut = ~ok
             grow = np.clip(0.9 * np.fmax(tol / err, 0.0) ** 0.2, 0.2, 5.0)
             h = np.where(ok & (step < h), h, step * grow)
             x[ok] = u5[ok]
             rem = np.where(ok, rem - step, rem)  # exactly 0 after the last step
             t = np.abs(dur) - rem  # time into the segment
-            halt = (ok & (np.linalg.norm(u5, axis=1) > BLOWUP_NORM)) | (t + h == t)
+            blow = ok & (np.linalg.norm(u5, axis=1) > BLOWUP_NORM)
+            stall = ((t + h == t) | stuck) & ~blow
+            halt = blow | stall
             if halt.any():
+                x[stall] = np.nan
                 gone = live[halt]
                 stop[gone], left[gone] = seg[halt], rem[halt]
                 after = np.arange(segs)[None, :, None] >= seg[halt][:, None, None]
@@ -222,18 +185,48 @@ def _integrate_table(spec, x0s, indices, durations):
                 seg[halt], rem[halt] = segs, 0.0
 
 
-def simulate_smooth(spec: SystemSpec, schedule: ControlSchedule, x0,
-                    record_dt: float | None = None) -> Trajectory:
-    """Integrate the switched smooth system as a one-row table, recording
-    each segment's end, or with record_dt the ends of ceil(|dur| / record_dt)
-    equal pieces of it.  Stops with status "blowup" where the norm passes
-    BLOWUP_NORM and "degenerate" where it underflows toward zero; raises
-    OverflowError where the step no longer moves the clock (a field turned
-    non-finite)."""
-    if spec.is_bilinear:
-        raise ValueError("simulate_smooth expects a smooth system")
+# --- running schedules: one table runner ----------------------------------
+
+def _run_table(spec, flows, x0s, indices, durations):
+    """Run the segments (indices[r, j], durations[r, j]) of each table row r
+    from x0s[r]: the one place that decides how a schedule runs.  A smooth
+    table goes through _integrate_table, a bilinear one column by column
+    through the flow kernel flows: a zero duration leaves the state as it
+    is, rows never stop, and a row that overflows turns non-finite.  Returns
+    (bounds, stop, left) as _integrate_table does."""
+    if not spec.is_bilinear:
+        return _integrate_table(spec, x0s, indices, durations)
+    rows, segs = durations.shape
+    # segment-major, so that each column of boundary states is one block
+    bounds = np.empty((segs, rows, x0s.shape[1])).transpose(1, 0, 2)
+    x = np.array(x0s, dtype=float)
+    for j in range(segs):
+        t = durations[:, j]
+        active = t != 0.0
+        for k in range(len(flows.mats)):
+            sel = active & (indices[:, j] == k)
+            if sel.any():
+                x[sel] = flows.apply_rows(k, t[sel], x[sel])
+        bounds[:, j] = x
+    return bounds, np.full(rows, segs), np.zeros(rows)
+
+
+def simulate(spec: SystemSpec, schedule: ControlSchedule, x0,
+             record_dt: float | None = None) -> Trajectory:
+    """Run x0 along the schedule as a one-row table, recording each
+    segment's end, or with record_dt the ends of ceil(|dur| / record_dt)
+    equal pieces of it.
+
+    Stops with status "degenerate" at the first recorded state whose norm
+    is below DEGENERATE_NORM, and for a smooth system with status "blowup"
+    where the norm passes BLOWUP_NORM, at the time of that step.  Raises
+    OverflowError once the state is no longer finite: a bilinear flow
+    overflowed, or a smooth step stalled (a field turned non-finite).
+    """
     x0 = _check_x0(x0, spec.n)
-    _check_schedule(schedule, spec.num_fields)
+    if schedule.max_index >= spec.num_fields:
+        raise ValueError(f"schedule uses field index {schedule.max_index}, "
+                         f"but the system has {spec.num_fields} fields")
     if record_dt is not None and not record_dt > 0:
         raise ValueError("record_dt must be positive")
     times, idx, durs = [0.0], [], []
@@ -242,26 +235,35 @@ def simulate_smooth(spec: SystemSpec, schedule: ControlSchedule, x0,
         times.extend(times[-1] + (dur / steps) * np.arange(1, steps + 1))
         idx += [i] * steps
         durs += [dur / steps] * steps
-    bounds, stop, left = _integrate_table(
-        spec, x0[None, :], np.array([idx], dtype=int), np.array([durs], dtype=float))
+    flows = _FamilyFlows(spec.family) if spec.is_bilinear else None
+    bounds, stop, left = _run_table(
+        spec, flows, x0[None, :], np.array([idx], dtype=int), np.array([durs], dtype=float))
     states = np.vstack([x0, bounds[0]])
     status, last = "ok", len(durs)
     if stop[0] < last:
         status, last, dur = "blowup", stop[0] + 1, durs[stop[0]]
-        if not np.linalg.norm(states[last]) > BLOWUP_NORM:
-            raise OverflowError("smooth integration stalled: its step no longer moves the clock")
         times[last] = times[last - 1] + np.copysign(abs(dur) - left[0], dur)
-    low = np.flatnonzero(np.linalg.norm(states[1:last + 1], axis=1) < DEGENERATE_NORM)
+    with np.errstate(over="ignore"):  # a huge finite state has norm inf
+        low = np.flatnonzero(np.linalg.norm(states[1:last + 1], axis=1) < DEGENERATE_NORM)
     if low.size:
         status, last = "degenerate", low[0] + 1
+    if not np.isfinite(states[:last + 1]).all():
+        raise OverflowError("the flow overflowed or stalled to a non-finite state")
     return Trajectory(np.array(times[:last + 1]), states[:last + 1], schedule, status)
 
 
-def simulate(spec: SystemSpec, schedule: ControlSchedule, x0, **kwargs) -> Trajectory:
-    """Dispatch to the bilinear or smooth simulator."""
+def simulate_bilinear(family: MatrixFamily, schedule: ControlSchedule, x0,
+                      record_dt: float | None = None) -> Trajectory:
+    """simulate for x' = M_k x: x0 flows through exp(t_k M_k) ... exp(t_1 M_1)."""
+    return simulate(SystemSpec(family.n, family=family), schedule, x0, record_dt)
+
+
+def simulate_smooth(spec: SystemSpec, schedule: ControlSchedule, x0,
+                    record_dt: float | None = None) -> Trajectory:
+    """simulate for a smooth system."""
     if spec.is_bilinear:
-        return simulate_bilinear(spec.family, schedule, x0, **kwargs)
-    return simulate_smooth(spec, schedule, x0, **kwargs)
+        raise ValueError("simulate_smooth expects a smooth system")
+    return simulate(spec, schedule, x0, record_dt)
 
 
 # --- random schedule tables -------------------------------------------------
@@ -291,24 +293,6 @@ def _schedule_from_row(indices_row, durations_row) -> ControlSchedule:
     return ControlSchedule(tuple(segs) if segs else ((0, 0.0),))
 
 
-def _sample_bilinear(flows, x0, indices, durations):
-    budget, max_segments = indices.shape
-    x = np.broadcast_to(x0, (budget, x0.size)).astype(float).copy()
-    visited = []
-    for j in range(max_segments):
-        t_col = durations[:, j]
-        idx_col = indices[:, j]
-        active = t_col > 0.0
-        if not active.any():
-            continue
-        for k in range(len(flows.mats)):
-            rows = active & (idx_col == k)
-            if rows.any():
-                x[rows] = flows.apply_rows(k, t_col[rows], x[rows])
-        visited.append(x[active].copy())
-    return x, np.vstack(visited) if visited else x.copy()
-
-
 def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
                       max_segments: int = 20, duration_scale: float = 0.5,
                       boundaries: bool = True) -> np.ndarray:
@@ -326,20 +310,10 @@ def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
     _, indices, durations = _schedule_tables(
         spec.num_fields, budget, seed, max_segments, duration_scale)
     flows = _FamilyFlows(spec.family) if spec.is_bilinear else None
-    ends, visited = _sample(spec, flows, x0, indices, durations)
-    return visited if boundaries else ends
-
-
-def _sample(spec, flows, x0, indices, durations):
-    """(endpoints, segment-boundary states) of every schedule row from x0,
-    through the flow kernel for a bilinear system and the Fehlberg table
-    integrator for a smooth one; a smooth row that blows up stays put."""
-    if flows is not None:
-        return _sample_bilinear(flows, x0, indices, durations)
-    bounds, _, _ = _integrate_table(
-        spec, np.broadcast_to(x0, (indices.shape[0], x0.size)), indices, durations)
-    visited = [bounds[durations[:, j] > 0.0, j] for j in range(durations.shape[1])]
-    return bounds[:, -1], np.vstack(visited)
+    bounds, _, _ = _run_table(
+        spec, flows, np.broadcast_to(x0, (budget, x0.size)), indices, durations)
+    # segment by segment, each after its positive durations
+    return bounds.transpose(1, 0, 2)[durations.T > 0.0] if boundaries else bounds[:, -1]
 
 
 # --- coverage grids ---------------------------------------------------------
@@ -370,7 +344,7 @@ class CoverageGrid:
 
     def __init__(self, n: int, angular_cells: int = 32, radial_bins: int = 16,
                  r_min: float = 0.1, r_max: float = 10.0,
-                 antipodal: bool = False, center_seed: int = 0):
+                 antipodal: bool = False):
         if n < 1:
             raise ValueError("n must be >= 1")
         if angular_cells < 1 or radial_bins < 1:
@@ -395,7 +369,7 @@ class CoverageGrid:
             self.num_angular = bands * sectors
         else:
             half = max(1, int(np.ceil(angular_cells / 2.0)))
-            base = spread_directions(np.random.default_rng([center_seed, n, half]),
+            base = spread_directions(np.random.default_rng([0, n, half]),
                                      n, half)
             self._centers = np.vstack([base, -base])
             self.num_angular = 2 * half
@@ -522,16 +496,17 @@ class ReachTestResult:
     evaluations: int
 
 
-def _distance(spec, flows, segs, x0, target) -> tuple[float, np.ndarray]:
-    """Distance to the target of one schedule's endpoint, and the endpoint;
-    a schedule that overflows counts as infinitely far."""
-    schedule = ControlSchedule(segs)
-    try:
-        traj = (simulate_smooth(spec, schedule, x0) if flows is None
-                else flows.simulate(schedule, x0))
-    except OverflowError:
-        return np.inf, np.full(x0.size, np.inf)
-    return float(np.linalg.norm(traj.endpoint - target)), traj.endpoint
+def _reach_distances(spec, flows, x0, target, cands):
+    """Distances to target of the endpoints of the candidate segment tuples,
+    run as one zero-padded table, and the endpoints; a row that overflows or
+    stalls counts as infinitely far."""
+    segs = max(len(c) for c in cands)
+    table = np.array([c + ((0, 0.0),) * (segs - len(c)) for c in cands])
+    ends = _run_table(spec, flows, np.broadcast_to(x0, (len(cands), x0.size)),
+                      table[..., 0].astype(int), table[..., 1])[0][:, -1]
+    ends[~np.isfinite(ends).all(axis=1)] = np.inf
+    # one norm per row, as for a one-row run: a batched norm can round apart
+    return np.array([np.linalg.norm(e - target) for e in ends]), ends
 
 
 def _mutate_schedule(segs, num_fields, rng, scale):
@@ -561,15 +536,19 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     """Search sampled schedules for an endpoint within eps of the target.
 
     Exploration draws random schedules; the remaining budget refines the best
-    one by seeded stochastic descent on endpoint distance.  A returned witness
-    is replay-verified: simulating it again lands within eps of the target.
+    one by seeded stochastic descent on endpoint distance, run in tables of
+    up to _DESCENT_BATCH candidates that keep the steps of a serial descent.
+    A returned witness is replay-verified: its one-row run lands within eps
+    of the target.
     """
     x0 = _check_x0(x0, spec.n)
     target = np.asarray(target, dtype=float)
     if target.shape != (spec.n,):
         raise ValueError(f"target must be a vector of length {spec.n}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target must be finite")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     if np.linalg.norm(target) == 0.0:
         raise ValueError("target must be nonzero")
     if budget < 1:
@@ -579,8 +558,9 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     explore = max(1, min(budget, max(budget // 4, 256)))
     _, indices, durations = _schedule_tables(
         spec.num_fields, explore, seed, max_segments, duration_scale)
-    cloud, _ = _sample(spec, flows, x0, indices, durations)
-    dists = np.linalg.norm(cloud - target[None, :], axis=1)
+    bounds, _, _ = _run_table(
+        spec, flows, np.broadcast_to(x0, (explore, x0.size)), indices, durations)
+    dists = np.linalg.norm(bounds[:, -1] - target[None, :], axis=1)
     dists[~np.isfinite(dists)] = np.inf
     best_row = int(np.argmin(dists))
     best_segs = _schedule_from_row(indices[best_row], durations[best_row]).segments
@@ -590,22 +570,28 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     rng = np.random.default_rng([seed, 4])
     scale = 0.5
     while evaluations < budget and best_dist >= eps * 0.999:
-        if rng.random() < 0.1:
-            count = int(rng.integers(1, max_segments + 1))
-            cand = tuple((int(rng.integers(0, spec.num_fields)),
-                          float(rng.exponential(duration_scale)))
-                         for _ in range(count))
-        else:
-            cand = _mutate_schedule(best_segs, spec.num_fields, rng, scale)
-        d, _ = _distance(spec, flows, cand, x0, target)
-        evaluations += 1
-        if d < best_dist:
-            best_dist = d
-            best_segs = cand
+        cands, states = [], []  # states[i]: the generator after drawing cands[i]
+        for _ in range(min(_DESCENT_BATCH, budget - evaluations)):
+            if rng.random() < 0.1:
+                count = int(rng.integers(1, max_segments + 1))
+                cands.append(tuple((int(rng.integers(0, spec.num_fields)),
+                                    float(rng.exponential(duration_scale)))
+                                   for _ in range(count)))
+            else:
+                cands.append(_mutate_schedule(best_segs, spec.num_fields, rng, scale))
+            states.append(rng.bit_generator.state)
+        dists, _ = _reach_distances(spec, flows, x0, target, cands)
+        better = np.flatnonzero(dists < best_dist)
+        i = int(better[0]) if better.size else len(cands) - 1
+        evaluations += i + 1
+        rng.bit_generator.state = states[i]
+        if better.size:
+            best_dist, best_segs = float(dists[i]), cands[i]
             scale = max(0.02, scale * 0.95)
 
     witness = ControlSchedule(best_segs)
-    final_dist, endpoint = _distance(spec, flows, best_segs, x0, target)
+    dists, ends = _reach_distances(spec, flows, x0, target, [best_segs])
+    final_dist, endpoint = float(dists[0]), ends[0]
     hit = final_dist <= eps
     return ReachTestResult(hit=hit, witness=witness if hit else None,
                            distance=final_dist, endpoint=endpoint,

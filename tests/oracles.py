@@ -4,8 +4,9 @@ These deliberately avoid the library's numerical code paths: the closure
 oracle works in exact rational arithmetic with Gaussian elimination, the
 grid oracle scans the unit circle densely, the flow oracle multiplies plain
 scipy matrix exponentials, the smooth-flow oracle runs scipy's DOP853 at a
-tight tolerance, and the tangent-rank oracle pushes the closure to the
-sphere instead of appending the radial line.
+tight tolerance, the tangent-rank oracle pushes the closure to the sphere
+instead of appending the radial line, and the reach-search oracle runs the
+descent one candidate per ``simulate`` call instead of in batched tables.
 """
 
 from fractions import Fraction
@@ -14,7 +15,14 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from bilinctrl.model import project_sphere
+from bilinctrl.model import ControlSchedule, project_sphere
+from bilinctrl.reach import (
+    _mutate_schedule,
+    _schedule_from_row,
+    _schedule_tables,
+    sample_attainable,
+    simulate,
+)
 
 
 def _mat_mul(a, b):
@@ -138,3 +146,53 @@ def smooth_endpoint(fields, segments, x0, blowup_norm):
             return None
         x = sol.y[:, -1]
     return x
+
+
+def serial_reach_search(spec, x0, target, eps, budget, seed, max_segments=20,
+                        duration_scale=0.5):
+    """approx_reach_test one candidate at a time: the same exploration, then
+    a descent that runs each candidate through its own ``simulate`` call and
+    counts one that raises OverflowError as infinitely far.  Returns (hit,
+    evaluations, distance, witness segments or None)."""
+    x0 = np.asarray(x0, dtype=float)
+    target = np.asarray(target, dtype=float)
+
+    def distance(segs):
+        try:
+            end = simulate(spec, ControlSchedule(segs), x0).endpoint
+        except OverflowError:
+            return np.inf
+        return float(np.linalg.norm(end - target))
+
+    explore = max(1, min(budget, max(budget // 4, 256)))
+    _, indices, durations = _schedule_tables(
+        spec.num_fields, explore, seed, max_segments, duration_scale)
+    ends = sample_attainable(spec, x0, explore, seed, max_segments=max_segments,
+                             duration_scale=duration_scale, boundaries=False)
+    dists = np.linalg.norm(ends - target[None, :], axis=1)
+    dists[~np.isfinite(dists)] = np.inf
+    best_row = int(np.argmin(dists))
+    best_segs = _schedule_from_row(indices[best_row], durations[best_row]).segments
+    best_dist = float(dists[best_row])
+    evaluations = explore
+
+    rng = np.random.default_rng([seed, 4])
+    scale = 0.5
+    while evaluations < budget and best_dist >= eps * 0.999:
+        if rng.random() < 0.1:
+            count = int(rng.integers(1, max_segments + 1))
+            cand = tuple((int(rng.integers(0, spec.num_fields)),
+                          float(rng.exponential(duration_scale)))
+                         for _ in range(count))
+        else:
+            cand = _mutate_schedule(best_segs, spec.num_fields, rng, scale)
+        d = distance(cand)
+        evaluations += 1
+        if d < best_dist:
+            best_dist = d
+            best_segs = cand
+            scale = max(0.02, scale * 0.95)
+
+    final = distance(best_segs)
+    hit = final <= eps
+    return hit, evaluations, final, best_segs if hit else None

@@ -252,3 +252,11 @@ def test_decide_scaled_planar_jd_still_controllable():
     scaled = type(PJ)(n=2, name="planar_jd_x2", family=fam)
     v = decide_controllability(scaled, AnalysisBudgets(reach_budget=60000))
     assert v.conclusion == "controllable"
+
+
+@pytest.mark.parametrize("threshold", [np.nan, 0.0, -0.5, 1.5, np.inf])
+def test_decide_rejects_coverage_threshold_outside_unit_interval(threshold):
+    budgets = AnalysisBudgets(samples=200, reach_budget=2000,
+                              coverage_threshold=threshold)
+    with pytest.raises(ValueError, match="coverage_threshold"):
+        decide_controllability(PJ, budgets)

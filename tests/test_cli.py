@@ -212,3 +212,20 @@ def test_every_subcommand_rejects_bad_tolerance(tmp_path, capsys, argv):
     assert run(*argv, "--tol", "nan", "--out", str(out)) == EXIT_INVALID
     assert "--tol" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--builtin", "planar_jd", "--samples", "200", "--budget", "2000"),
+    ("reach", "--builtin", "planar_jd", "--budget", "100"),
+    ("foliation", "--example", "sphere", "--theta-samples", "2"),
+    ("corpus",),
+])
+@pytest.mark.parametrize("threshold", ["nan", "0", "-0.5", "1.5", "inf"])
+def test_every_subcommand_rejects_bad_coverage_threshold(tmp_path, capsys, argv,
+                                                         threshold):
+    # NaN wrote "coverage_threshold": NaN and "below threshold nan"; 0 called
+    # planar_jd controllable at a coverage of 0.80
+    out = tmp_path / "out"
+    assert run(*argv, "--coverage-threshold", threshold, "--out", str(out)) == EXIT_INVALID
+    assert "--coverage-threshold" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from bilinctrl.model import (
 )
 from bilinctrl.reach import (
     BLOWUP_NORM,
+    DEGENERATE_NORM,
     CoverageGrid,
     approx_reach_test,
     coverage,
@@ -21,7 +24,7 @@ from bilinctrl.reach import (
     _schedule_tables,
 )
 
-from oracles import expm_product, smooth_endpoint
+from oracles import expm_product, serial_reach_search, smooth_endpoint
 
 PJ = builtin_corpus("planar_jd")
 SO3 = builtin_corpus("so3")
@@ -161,6 +164,29 @@ def test_smooth_stall_raises():
                         [0.0, 1.0])
 
 
+def test_smooth_stall_early_in_long_segment_raises():
+    # from (1.999, 1) the NaN region is 0.001 time units in, so a step that
+    # no longer moves the state still moves that clock; this used to loop
+    # without end, so an alarm fails the test instead of hanging it
+    def wall(pts):
+        out = np.zeros_like(pts)
+        out[..., 0] = np.where(pts[..., 0] < 2.0, 1.0, np.nan)
+        return out
+
+    def timeout(*_):
+        raise TimeoutError("simulate_smooth did not return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        with pytest.raises(OverflowError):
+            simulate_smooth(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
+                            [1.999, 1.0])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_smooth_sampler_rows_replay_exactly():
     # the sampler and simulate_smooth run the same integrator, one clock per
     # row, so every sampled row replays bit for bit, blown-up rows included
@@ -225,6 +251,20 @@ def test_degenerate_underflow_reported():
     tiny = np.array([1e-250, 0.0])
     traj = simulate_bilinear(fam, ControlSchedule(((0, 300.0),)), tiny)
     assert traj.status == "degenerate"
+
+
+def test_degenerate_reported_at_first_recorded_underflow():
+    # exp(-t) * 1e-150 underflows inside the 300-unit segment: the
+    # trajectory ends at the first recorded state whose norm is below
+    # DEGENERATE_NORM, not at the end of the segment
+    fam = type(PJ.family)((-np.eye(2),))
+    traj = simulate_bilinear(fam, ControlSchedule(((0, 300.0),)), [1e-150, 0.0],
+                             record_dt=10.0)
+    norms = np.linalg.norm(traj.states, axis=1)
+    assert traj.status == "degenerate"
+    assert 0.0 < traj.times[-1] < 300.0
+    np.testing.assert_array_equal(traj.times, 10.0 * np.arange(len(traj.times)))
+    assert norms[-1] < DEGENERATE_NORM and np.all(norms[:-1] >= DEGENERATE_NORM)
 
 
 def test_sampler_deterministic():
@@ -361,3 +401,27 @@ def test_reach_search_survives_overflowing_schedules():
     assert np.all(np.isfinite(res.endpoint))
     assert res.distance == pytest.approx(np.linalg.norm(res.endpoint - [0.0, 2.0]))
     assert res.hit == (res.witness is not None) == (res.distance <= 1e-2)
+
+
+def test_reach_descent_matches_serial_oracle():
+    # the batched descent takes the steps of a one-candidate-at-a-time
+    # search; smooth rows run bit for bit alike in a batch and alone
+    for seed in range(4):
+        res = approx_reach_test(EX1, [0.0, 1.0], [0.5, 1.5], eps=1e-2, budget=300,
+                                seed=seed, max_segments=3, duration_scale=0.25)
+        hit, evaluations, distance, witness = serial_reach_search(
+            EX1, [0.0, 1.0], [0.5, 1.5], 1e-2, 300, seed, max_segments=3,
+            duration_scale=0.25)
+        assert (res.hit, res.evaluations, res.distance) == (hit, evaluations, distance)
+        assert (res.witness.segments if res.witness else None) == witness
+
+
+@pytest.mark.parametrize("target, eps", [
+    ([np.nan, 0.0], 1e-2), ([np.inf, 1.0], 1e-2), ([0.0, 2.0], np.inf),
+    ([0.0, 2.0], np.nan),
+])
+def test_reach_rejects_non_finite_target_or_eps(target, eps):
+    # a NaN target spent the budget and returned distance nan; eps = inf
+    # returned a hit 0.08 away
+    with pytest.raises(ValueError):
+        approx_reach_test(PJ, [1.0, 0.0], target, eps=eps, budget=300, seed=0)
