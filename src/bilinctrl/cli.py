@@ -251,13 +251,8 @@ def cmd_reach(args) -> int:
 
 
 def _foliation_distribution(args):
-    if args.builtin is not None:
-        return orbit_tangent_distribution(builtin_corpus(args.builtin))
-    if getattr(args, "spec", None) is not None:
-        path = Path(args.spec)
-        if not path.is_file():
-            raise ValueError(f"spec file not found: {path}")
-        return orbit_tangent_distribution(parse_system(path.read_text()))
+    if args.example is None:
+        return orbit_tangent_distribution(_load_spec(args), tol=args.tol)
     if args.example == "sphere":
         return sphere_distribution(args.dim)
     if args.example == "radial_graph_h03":
@@ -314,12 +309,7 @@ def cmd_corpus(args) -> int:
             lines.append(f"{name}  n={spec.n}  kind={kind}  fields={spec.num_fields}\n")
         _write_or_print("".join(lines), args.out)
         return EXIT_OK
-    spec = builtin_corpus(args.builtin)
-    if spec.is_bilinear:
-        _write_or_print(serialize_system(spec) + "\n", args.out)
-    else:
-        _write_or_print(_dump_json({"kind": "builtin", "builtin_name": spec.name}),
-                        args.out)
+    _write_or_print(serialize_system(builtin_corpus(args.builtin)) + "\n", args.out)
     return EXIT_OK
 
 

@@ -3,9 +3,13 @@
 A radial distribution assigns to every nonzero point a hyperplane (the leaf
 tangent) transversal to the ray through the point.  Slicing by the plane
 spanned by the pole p = e_n and a horizontal unit direction theta gives an
-oriented line field whose integral curve from p spirals around the origin;
-this module integrates that curve to its first crossing of the opposite ray
-and checks that the crossing radius does not depend on theta.
+oriented line field whose integral curve from p winds around the origin.
+Transversality makes the curve's angle phi around the origin strictly
+increasing, so the curve is the graph phi -> log r(phi), and its first
+return to the opposite ray is its value at phi = pi: there is no crossing to
+search for.  Every section's curve is one row of one table, integrated over
+the angle by reach.integrate_table; the module then checks that the return
+radius does not depend on theta.
 """
 
 from __future__ import annotations
@@ -16,12 +20,10 @@ import numpy as np
 
 from .matlie import LieBasis, lie_closure
 from .model import SystemSpec
-from .reach import rk_step, spread_directions
+from .reach import integrate_table, spread_directions
 
 TRANS_TOL = 1e-9  # least |cos| between a leaf normal and the ray
-RETURN_RTOL = 1e-10
-RETURN_ATOL = 1e-12
-RETURN_MAX_STEPS = 200000
+RETURN_PIECES = 64  # equal angle pieces per leaf line, an arc point after each
 
 
 class FoliationError(RuntimeError):
@@ -36,10 +38,6 @@ class NoReturnError(FoliationError):
     """The integral curve exhausted its arc-length budget without returning."""
 
 
-class DegenerateEventError(FoliationError):
-    """Tangential or ill-posed crossing of the return ray."""
-
-
 class SampleFailureError(FoliationError):
     """First-return failures at specific section directions."""
 
@@ -51,10 +49,12 @@ class SampleFailureError(FoliationError):
 class RadialDistribution:
     """Codimension-one leaf field on R^n minus the origin.
 
-    normal_fn maps a nonzero point to a vector orthogonal to the leaf through
-    it (length and sign are irrelevant).  leaf_fn, when given, is a scalar
-    function constant on leaves, used for membership checks.  transversality
-    (the normal never orthogonal to the position) is enforced at every probe.
+    normal_fn maps a stack of nonzero points (..., n) to vectors (..., n)
+    orthogonal to the leaves through them (length and sign are irrelevant),
+    with non-finite rows where the normal is undefined; like a smooth field
+    of model.SystemSpec.  leaf_fn, when given, is a scalar function constant
+    on leaves, used for membership checks.  transversality (the normal never
+    orthogonal to the position) is enforced at every probe.
     """
 
     def __init__(self, n: int, normal_fn, leaf_fn=None, name: str = ""):
@@ -68,18 +68,23 @@ class RadialDistribution:
     def normal_at(self, x) -> np.ndarray:
         """Unit normal of the leaf through x; raises on transversality loss."""
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        if r == 0.0:
+        if not np.any(x):
             raise ValueError("x must be nonzero")
-        nv = np.asarray(self.normal_fn(x), dtype=float)
-        nn = np.linalg.norm(nv)
-        if nn == 0.0 or not np.all(np.isfinite(nv)):
-            raise TransversalityError(f"degenerate normal at {x.tolist()}")
-        nv = nv / nn
-        if abs(np.dot(nv, x / r)) < TRANS_TOL:
+        nv = _unit_normals(self, x)
+        if not np.isfinite(nv).all():
             raise TransversalityError(
-                f"leaf tangent contains the radial direction at {x.tolist()}")
+                f"leaf normal undefined or orthogonal to the ray at {x.tolist()}")
         return nv
+
+
+def _unit_normals(distr: RadialDistribution, x: np.ndarray) -> np.ndarray:
+    """Unit leaf normals at the points x (..., n): NaN rows where the normal
+    is undefined or within TRANS_TOL of orthogonal to the ray."""
+    nv = np.broadcast_to(np.asarray(distr.normal_fn(x), dtype=float), x.shape)
+    with np.errstate(all="ignore"):
+        nv = nv / np.linalg.norm(nv, axis=-1, keepdims=True)
+        cos = np.sum(nv * x, axis=-1) / np.linalg.norm(x, axis=-1)
+    return np.where((np.abs(cos) >= TRANS_TOL)[..., None], nv, np.nan)
 
 
 def sphere_distribution(n: int = 3) -> RadialDistribution:
@@ -104,10 +109,9 @@ def radial_graph_distribution(n: int = 3, slope: float = 0.3,
 
     def normal(x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
         sigma = x / r
-        grad_h = slope * e
-        return x / r**2 - (grad_h - np.dot(sigma, grad_h) * sigma) / r
+        return x / r**2 - slope * (e - sigma[..., axis:axis + 1] * sigma) / r
 
     def leaf(x):
         x = np.asarray(x, dtype=float)
@@ -122,25 +126,29 @@ def orbit_tangent_distribution(spec: SystemSpec, basis: LieBasis | None = None,
                                tol: float = 1e-9) -> RadialDistribution:
     """Leaf tangents spanned by the evaluated Lie closure of a bilinear system.
 
-    Requires the evaluation to have rank n - 1 wherever it is probed; the
-    normal is the left singular direction of the smallest singular value.
+    The normal is the left singular direction of the smallest singular value
+    of the evaluation, one batched SVD for a stack of points; it is NaN where
+    the evaluation does not have rank n - 1 (singular values above tol times
+    the largest) or the point is not finite.
     """
     if not spec.is_bilinear:
         raise ValueError("orbit tangents need a bilinear system")
     if basis is None:
         basis = lie_closure(spec.family.matrices, tol=tol)
     n = spec.n
+    mats = np.array(basis.basis).reshape(basis.dim, n, n)
 
     def normal(x):
-        cols = basis.stacked_at(np.asarray(x, dtype=float))
-        u, s, _ = np.linalg.svd(cols, full_matrices=True)
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-        if rank != n - 1:
-            raise FoliationError(
-                f"evaluated closure has rank {rank} at {np.asarray(x).tolist()}, "
-                f"expected {n - 1}")
-        return u[:, -1]
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, np.nan)
+        ok = np.isfinite(x).all(axis=-1)
+        if basis.dim == 0 or not ok.any():
+            return out
+        # columns b @ x, one matrix per point; no SVD of non-finite points
+        u, s, _ = np.linalg.svd(np.einsum("kij,...j->...ik", mats, x[ok]))
+        rank = np.sum(s > tol * s[..., :1], axis=-1)
+        out[ok] = np.where((rank == n - 1)[..., None], u[..., -1], np.nan)
+        return out
 
     return RadialDistribution(n, normal, leaf_fn=None,
                               name=f"orbit_tangent({spec.name})")
@@ -181,42 +189,71 @@ def planar_section(theta) -> PlanarSection:
     return PlanarSection(theta=theta, pole=pole, n=n)
 
 
-def _plane_field(distr: RadialDistribution, section: PlanarSection,
-                 a: float, b: float) -> np.ndarray:
-    """Oriented unit leaf-line direction at plane coordinates (a, b).
+# --- leaf lines over the angle ------------------------------------------------
+#
+# A leaf line is a table row with state (log r, phi, arc length, theta): the
+# point r (cos(phi) p + sin(phi) theta) of the section plane of theta, and the
+# arc length run so far.  theta rides along with rate 0, since the integrator's
+# fields see only states.
 
-    The intersection of the leaf tangent with the plane is the kernel of the
-    normal restricted to the plane; orientation fixes det((a,b), v) > 0, i.e.
-    the angle around the origin strictly increases along the flow.  At the
-    pole this points toward +theta, so the curve from p meets the positive
-    theta ray before the negative one.
-    """
-    x = section.to_ambient(a, b)
-    nv = distr.normal_at(x)
-    va = -np.dot(nv, section.theta)
-    vb = np.dot(nv, section.pole)
-    nrm = float(np.hypot(va, vb))
-    if nrm == 0.0:
-        raise TransversalityError("leaf tangent is orthogonal to the section plane")
-    va, vb = va / nrm, vb / nrm
-    if a * vb - b * va < 0.0:
-        va, vb = -va, -vb
-    return np.array([va, vb])
+def _leaf_frame(distr: RadialDistribution, states: np.ndarray):
+    """At the rows of states: the points x, the unit radial and angular
+    directions e_r, e_phi of the section planes, and the parts n_r, n_phi of
+    the unit leaf normal along them (NaN where the normal is undefined or
+    orthogonal to the ray)."""
+    phi, thetas = states[:, 1:2], states[:, 3:]
+    e_r, e_phi = np.sin(phi) * thetas, np.cos(phi) * thetas
+    e_r[:, -1] += np.cos(phi[:, 0])  # theta has a zero last coordinate
+    e_phi[:, -1] -= np.sin(phi[:, 0])
+    with np.errstate(all="ignore"):  # rows that overflowed or failed give NaN
+        x = np.exp(states[:, :1]) * e_r
+        nv = _unit_normals(distr, x)
+    return x, e_r, e_phi, np.sum(nv * e_r, axis=1), np.sum(nv * e_phi, axis=1)
+
+
+def _angle_rates(distr: RadialDistribution):
+    """The field of leaf-line rows over the angle: d log r/dphi =
+    -n_phi/n_r, dphi/dphi = 1, d arc/dphi = r |(n_r, n_phi)| / |n_r|."""
+    def rates(states):
+        _, _, _, n_r, n_phi = _leaf_frame(distr, states)
+        out = np.zeros_like(states)
+        out[:, 0] = -n_phi / n_r
+        out[:, 1] = 1.0
+        out[:, 2] = np.exp(states[:, 0]) * np.hypot(n_r, n_phi) / np.abs(n_r)
+        return out
+    return rates
+
+
+def _points_and_velocities(distr: RadialDistribution, states: np.ndarray):
+    """The points of the rows of states and the unit leaf-line directions
+    there, oriented so that the angle increases; NaN where transversality
+    fails."""
+    x, e_r, e_phi, n_r, n_phi = _leaf_frame(distr, states)
+    scale = (np.sign(n_r) / np.hypot(n_r, n_phi))[:, None]
+    return x, scale * (n_r[:, None] * e_phi - n_phi[:, None] * e_r)
 
 
 def leaf_line_field(distr: RadialDistribution, section: PlanarSection, x) -> np.ndarray:
     """Oriented unit vector spanning (leaf tangent at x) in the section plane.
 
-    x must lie in the plane; raises TransversalityError when the leaf tangent
-    turns radial there.
+    The orientation makes the angle around the origin increase: at the pole
+    the vector points toward +theta.  x must lie in the plane; raises
+    TransversalityError when the leaf tangent turns radial there.
     """
     x = np.asarray(x, dtype=float)
     a, b = section.to_plane(x)
     resid = np.linalg.norm(x - section.to_ambient(a, b))
     if resid > 1e-9 * max(1.0, np.linalg.norm(x)):
         raise ValueError("x does not lie in the section plane")
-    v = _plane_field(distr, section, a, b)
-    return section.to_ambient(v[0], v[1])
+    if a == 0.0 and b == 0.0:
+        raise ValueError("x must be nonzero")
+    state = np.concatenate([[np.log(np.hypot(a, b)), np.arctan2(b, a), 0.0],
+                            section.theta])
+    v = _points_and_velocities(distr, state[None, :])[1][0]
+    if not np.isfinite(v).all():
+        raise TransversalityError(
+            f"leaf tangent is radial or undefined at {x.tolist()}")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,15 +270,51 @@ class FirstReturnResult:
     section: PlanarSection
 
 
-def first_return(distr: RadialDistribution, section: PlanarSection,
-                 event_tol: float = 1e-10, start=None,
-                 arc_budget: float | None = None) -> FirstReturnResult:
-    """Integrate the oriented leaf line from the pole to the opposite ray.
+def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
+                   arc_budget: float) -> list:
+    """Leaf lines from the plane point start = (a, b), a > 0, of every
+    section to phi = pi, as one table of RETURN_PIECES equal angle pieces per
+    row.  Returns one FirstReturnResult per section, or the FoliationError
+    of the sections that fail."""
+    rows = len(sections)
+    phi0 = float(np.arctan2(start[1], start[0]))
+    x0s = np.zeros((rows, 3 + distr.n))
+    x0s[:, 0], x0s[:, 1] = np.log(np.hypot(start[0], start[1])), phi0
+    x0s[:, 3:] = [sec.theta for sec in sections]
+    durations = np.full((rows, RETURN_PIECES), (np.pi - phi0) / RETURN_PIECES)
+    bounds, stop, _ = integrate_table((_angle_rates(distr),), x0s,
+                                      np.zeros(durations.shape, dtype=int), durations)
+    states = np.concatenate([x0s[:, None, :], bounds], axis=1)
+    points, velocities = (a.reshape(rows, -1, distr.n) for a in _points_and_velocities(
+        distr, states.reshape(-1, states.shape[2])))
+    arcs = states[:, :, 2]
+    out = []
+    for k, sec in enumerate(sections):
+        if not np.isfinite(states[k]).all():
+            out.append(TransversalityError(
+                "leaf normal turned radial or undefined along the arc"))
+        elif stop[k] < RETURN_PIECES or arcs[k, -1] > arc_budget:
+            out.append(NoReturnError(
+                f"no crossing of the opposite ray within arc length {arc_budget}"))
+        else:
+            out.append(FirstReturnResult(
+                p_return=points[k, -1], radius=float(np.exp(states[k, -1, 0])),
+                winding=float(states[k, -1, 1] - phi0), arc_length=float(arcs[k, -1]),
+                arc_t=arcs[k] / arcs[k, -1], arc_points=points[k],
+                arc_velocities=velocities[k], section=sec))
+    return out
 
-    The curve is integrated at unit speed in the section plane with adaptive
-    Fehlberg steps; the crossing of {<x, theta> = 0, <x, pole> < 0} is
-    located by sign-change bracketing plus bisection down to event_tol, and
-    must be non-tangential.
+
+def first_return(distr: RadialDistribution, section: PlanarSection, start=None,
+                 arc_budget: float | None = None) -> FirstReturnResult:
+    """Integrate the oriented leaf line from the pole (or start, a point of
+    the plane on the pole's side) to the opposite ray.
+
+    The line is integrated over its angle phi to phi = pi, where it meets
+    the ray; arc points are recorded at RETURN_PIECES equal angle pieces.
+    Raises TransversalityError where the leaf tangent turns radial, and
+    NoReturnError when the line escapes past reach.BLOWUP_NORM or its arc
+    length exceeds arc_budget.
     """
     if start is None:
         u = np.array([1.0, 0.0])
@@ -255,88 +328,10 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
         raise ValueError("start point must lie on the positive pole ray side")
     if arc_budget is None:
         arc_budget = 200.0 * max(1.0, float(np.linalg.norm(u)))
-
-    def f(pt):
-        return _plane_field(distr, section, pt[0], pt[1])
-
-    ts = [0.0]
-    us = [u.copy()]
-    vs = [f(u)]
-    t = 0.0
-    winding = 0.0
-    angle_prev = float(np.arctan2(u[1], u[0]))
-    h = 0.01
-    v_prev = vs[0]
-
-    for _ in range(RETURN_MAX_STEPS):
-        r = float(np.linalg.norm(us[-1]))
-        h = min(h, 0.1 * r)  # keeps the angle increment small, one event per step
-        u_new, err = rk_step(f, us[-1], h)
-        tol = RETURN_ATOL + RETURN_RTOL * float(np.linalg.norm(us[-1]))
-        if err > tol:
-            h = max(1e-8, h * max(0.2, 0.9 * (tol / err) ** 0.2))
-            continue
-        v_new = f(u_new)
-        if np.dot(v_prev, v_new) <= 0.0:
-            raise DegenerateEventError("leaf-line orientation flipped along the arc")
-
-        crossed = us[-1][1] > 0.0 and u_new[1] <= 0.0 and u_new[0] < 0.0
-        if crossed:
-            lo, hi = 0.0, h
-            u_lo = us[-1]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                u_mid, _ = rk_step(f, us[-1], mid)
-                if u_mid[1] > 0.0:
-                    lo, u_lo = mid, u_mid
-                else:
-                    hi = mid
-                if abs(u_mid[1]) <= event_tol:
-                    u_new, h = u_mid, mid
-                    break
-            else:
-                u_new, h = u_lo, lo
-            if abs(u_new[1]) > event_tol:
-                raise DegenerateEventError("bisection failed to localize the crossing")
-            v_new = f(u_new)
-            if abs(v_new[1]) < 1e-6:
-                raise DegenerateEventError("tangential crossing of the return ray")
-            if u_new[0] >= 0.0:
-                raise DegenerateEventError("crossing is not on the opposite ray")
-
-        t += h
-        angle = float(np.arctan2(u_new[1], u_new[0]))
-        delta = angle - angle_prev
-        if delta <= -np.pi:
-            delta += 2.0 * np.pi
-        elif delta > np.pi:
-            delta -= 2.0 * np.pi
-        winding += delta
-        angle_prev = angle
-        ts.append(t)
-        us.append(u_new)
-        vs.append(v_new)
-        v_prev = v_new
-
-        if crossed:
-            arc_t = np.array(ts) / t
-            plane = np.array(us)
-            points = plane[:, 0:1] * section.pole[None, :] \
-                + plane[:, 1:2] * section.theta[None, :]
-            vel = np.array(vs)
-            velocities = vel[:, 0:1] * section.pole[None, :] \
-                + vel[:, 1:2] * section.theta[None, :]
-            p_return = points[-1]
-            return FirstReturnResult(
-                p_return=p_return, radius=float(np.linalg.norm(u_new)),
-                winding=winding, arc_length=t, arc_t=arc_t,
-                arc_points=points, arc_velocities=velocities, section=section)
-
-        h = min(h * 1.5, 0.05 * r)
-        if t > arc_budget:
-            raise NoReturnError(
-                f"no crossing of the opposite ray within arc length {arc_budget}")
-    raise NoReturnError(f"no crossing of the opposite ray within {RETURN_MAX_STEPS} steps")
+    result = _first_returns(distr, [section], u, arc_budget)[0]
+    if isinstance(result, FoliationError):
+        raise result
+    return result
 
 
 def _theta_samples(n: int, count: int, seed: int) -> np.ndarray:
@@ -365,13 +360,13 @@ class ConstancyReport:
 
 
 def first_return_constancy(distr: RadialDistribution, theta_samples: int = 64,
-                           seed: int = 0, tol: float = 1e-6,
-                           event_tol: float = 1e-10) -> ConstancyReport:
+                           seed: int = 0, tol: float = 1e-6) -> ConstancyReport:
     """Evaluate the return radius over sampled section directions.
 
-    The radii of a genuine homogeneous codimension-one leaf field transversal
-    to rays must agree across directions; ``constant`` holds when the largest
-    deviation from the mean is at most tol times the mean.
+    All sections run from the pole as one table.  The radii of a genuine
+    homogeneous codimension-one leaf field transversal to rays must agree
+    across directions; ``constant`` holds when the largest deviation from
+    the mean is at most tol times the mean.
     """
     if distr.n < 3:
         raise ValueError("constancy check requires n >= 3; the equatorial "
@@ -379,18 +374,13 @@ def first_return_constancy(distr: RadialDistribution, theta_samples: int = 64,
     if theta_samples < 2:
         raise ValueError("theta_samples must be >= 2")
     thetas = _theta_samples(distr.n, theta_samples, seed)
-    results = []
-    failures = []
-    for k, theta in enumerate(thetas):
-        try:
-            results.append(first_return(distr, planar_section(theta),
-                                         event_tol=event_tol))
-        except FoliationError as exc:
-            failures.append((k, exc))
-    if failures:
-        idx = [k for k, _ in failures]
+    results = _first_returns(distr, [planar_section(t) for t in thetas],
+                             np.array([1.0, 0.0]), 200.0)
+    failed = [k for k, res in enumerate(results) if isinstance(res, FoliationError)]
+    if failed:
         raise SampleFailureError(
-            f"first return failed at section indices {idx}: {failures[0][1]}", idx)
+            f"first return failed at section indices {failed}: {results[failed[0]]}",
+            failed)
     values = np.array([r.radius for r in results])
     mean = float(values.mean())
     max_dev = float(np.max(np.abs(values - mean)))
@@ -416,8 +406,7 @@ class ArcFamily:
 
 
 def arc_family(distr: RadialDistribution, theta_samples: int = 64,
-               seed: int = 0, constancy_tol: float = 1e-6,
-               event_tol: float = 1e-10) -> ArcFamily:
+               seed: int = 0, constancy_tol: float = 1e-6) -> ArcFamily:
     """Build the family of arcs over sampled directions.
 
     Requires the return radius to be constant across directions (within
@@ -425,8 +414,7 @@ def arc_family(distr: RadialDistribution, theta_samples: int = 64,
     point, and the union of their points stays in a bounded annulus.
     """
     report = first_return_constancy(distr, theta_samples=theta_samples,
-                                    seed=seed, tol=constancy_tol,
-                                    event_tol=event_tol)
+                                    seed=seed, tol=constancy_tol)
     if not report.constant:
         raise FoliationError(
             f"return radius varies across directions "

@@ -29,7 +29,7 @@ _DESCENT_BATCH = 32  # reach-search candidates run as one table
 class Trajectory:
     """States along a schedule; times[0] = 0 and states[0] = x0.
 
-    status is "ok", "degenerate" (norm underflowed toward 0; the trajectory
+    status is "ok", "degenerate" (norm below DEGENERATE_NORM; the trajectory
     is truncated there) or, for smooth systems only, "blowup" (norm exceeded
     BLOWUP_NORM; the trajectory is truncated there).
     """
@@ -113,12 +113,12 @@ def rk_step(f, u, h):
     return u5, np.linalg.norm(u5 - u4, axis=-1)
 
 
-def _field_rows(spec, field):
+def _field_rows(fields, field):
     """The map u -> (fields[field[r]](u[r]))_r on stacks of rows u."""
     ks = np.unique(field)
     if ks.size == 1:
-        return spec.fields[ks[0]]
-    groups = [(spec.fields[k], np.flatnonzero(field == k)) for k in ks]
+        return fields[ks[0]]
+    groups = [(fields[k], np.flatnonzero(field == k)) for k in ks]
 
     def f(u):
         out = np.empty_like(u)
@@ -128,10 +128,12 @@ def _field_rows(spec, field):
     return f
 
 
-def _integrate_table(spec, x0s, indices, durations):
+def integrate_table(fields, x0s, indices, durations):
     """Run the segments (indices[r, j], durations[r, j]) of each table row r
-    from x0s[r], one clock and step size per row, local error per step below
-    SMOOTH_TOL * (1 + |x|); a negative duration runs backward.  Returns
+    from x0s[r] along u' = fields[indices[r, j]](u), each field mapping
+    stacks of rows to stacks of rows, with one clock and step size per row
+    and local error per step below SMOOTH_TOL * (1 + |x|); a negative
+    duration runs backward; foliation runs its leaf lines here too.  Returns
     (bounds, stop, left): bounds[r, j] is row r's state after segment j.  A
     row stops in segment stop[r] (else the segment count) with left[r] of it
     to go once its norm passes BLOWUP_NORM, and then stays put in bounds, or
@@ -160,7 +162,7 @@ def _integrate_table(spec, x0s, indices, durations):
                 live, x, seg, rem, h, cut = (a[keep] for a in (live, x, seg, rem, h, cut))
                 if not live.size:
                     return bounds, stop, left
-                dur, f = durations[live, seg], _field_rows(spec, indices[live, seg])
+                dur, f = durations[live, seg], _field_rows(fields, indices[live, seg])
             step = np.minimum(h, rem)
             u5, err = rk_step(f, x, np.copysign(step, dur))
             tol = SMOOTH_TOL * (1.0 + np.linalg.norm(x, axis=1))
@@ -190,12 +192,12 @@ def _integrate_table(spec, x0s, indices, durations):
 def _run_table(spec, flows, x0s, indices, durations):
     """Run the segments (indices[r, j], durations[r, j]) of each table row r
     from x0s[r]: the one place that decides how a schedule runs.  A smooth
-    table goes through _integrate_table, a bilinear one column by column
+    table goes through integrate_table, a bilinear one column by column
     through the flow kernel flows: a zero duration leaves the state as it
     is, rows never stop, and a row that overflows turns non-finite.  Returns
-    (bounds, stop, left) as _integrate_table does."""
+    (bounds, stop, left) as integrate_table does."""
     if not spec.is_bilinear:
-        return _integrate_table(spec, x0s, indices, durations)
+        return integrate_table(spec.fields, x0s, indices, durations)
     rows, segs = durations.shape
     # segment-major, so that each column of boundary states is one block
     bounds = np.empty((segs, rows, x0s.shape[1])).transpose(1, 0, 2)
@@ -243,8 +245,10 @@ def simulate(spec: SystemSpec, schedule: ControlSchedule, x0,
     if stop[0] < last:
         status, last, dur = "blowup", stop[0] + 1, durs[stop[0]]
         times[last] = times[last - 1] + np.copysign(abs(dur) - left[0], dur)
+    # hypot does not square, so a norm near DEGENERATE_NORM does not underflow
     with np.errstate(over="ignore"):  # a huge finite state has norm inf
-        low = np.flatnonzero(np.linalg.norm(states[1:last + 1], axis=1) < DEGENERATE_NORM)
+        norms = np.hypot.reduce(np.abs(states[1:last + 1]), axis=1)
+    low = np.flatnonzero(norms < DEGENERATE_NORM)
     if low.size:
         status, last = "degenerate", low[0] + 1
     if not np.isfinite(states[:last + 1]).all():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilinctrl.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_UNDETERMINED, main
-from bilinctrl.model import parse_system
+from bilinctrl.model import builtin_corpus, parse_system
 
 
 def run(*argv):
@@ -180,6 +180,20 @@ def test_foliation_numerical_failure_exit_code(tmp_path, capsys):
     code = run("foliation", "--spec", str(doc), "--theta-samples", "4",
                "--out", str(out))
     assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_foliation_orbit_tangents_use_tol(tmp_path, capsys):
+    # so3 conjugated by diag(1, 1, 1e3): at --tol 0.9 the evaluated closure
+    # has rank 1 at every probe, so there is no leaf field to trace
+    p = np.diag([1.0, 1.0, 1e3])
+    mats = [(p @ m @ np.linalg.inv(p)).tolist()
+            for m in builtin_corpus("so3").family.matrices]
+    doc = tmp_path / "stretched.json"
+    doc.write_text(json.dumps({"n": 3, "matrices": mats}))
+    argv = ("foliation", "--spec", str(doc), "--theta-samples", "4")
+    assert run(*argv, "--out", str(tmp_path / "default")) == EXIT_OK
+    assert run(*argv, "--tol", "0.9", "--out", str(tmp_path / "coarse")) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bilinctrl.foliation import (
-    DegenerateEventError,
     FoliationError,
     NoReturnError,
     RadialDistribution,
+    SampleFailureError,
     TransversalityError,
     arc_family,
     first_return,
@@ -16,7 +16,7 @@ from bilinctrl.foliation import (
     radial_graph_distribution,
     sphere_distribution,
 )
-from bilinctrl.model import builtin_corpus
+from bilinctrl.model import bilinear_system, builtin_corpus
 
 POLE = np.array([0.0, 0.0, 1.0])
 THETA = np.array([1.0, 0.0, 0.0])
@@ -72,7 +72,7 @@ def test_radial_graph_first_return_closed_form():
 
 def test_first_return_ray_condition():
     for distr in (sphere_distribution(3), radial_graph_distribution(3, 0.3)):
-        res = first_return(distr, planar_section(THETA), event_tol=1e-10)
+        res = first_return(distr, planar_section(THETA))
         assert abs(np.dot(res.p_return, THETA)) <= 1e-10
         assert np.dot(res.p_return, POLE) < 0.0
 
@@ -140,7 +140,7 @@ def test_orbit_tangent_rejects_wrong_rank():
 def test_twisted_distribution_is_not_constant():
     # transversal but non-integrable: the return radius depends on the section
     def normal(x):
-        return np.array([x[0], x[1], x[2] + 0.1 * x[0]])
+        return np.stack([x[..., 0], x[..., 1], x[..., 2] + 0.1 * x[..., 0]], axis=-1)
 
     twisted = RadialDistribution(3, normal)
     rep = first_return_constancy(twisted, theta_samples=12, seed=0, tol=1e-6)
@@ -177,3 +177,56 @@ def test_higher_dimensional_sphere_sections():
     rep = first_return_constancy(sphere_distribution(4), theta_samples=6, seed=0)
     assert rep.constant
     assert rep.mean_radius == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sphere_returns_in_closed_form_at_64_sections(n):
+    pole = np.zeros(n)
+    pole[-1] = 1.0
+    rep = first_return_constancy(sphere_distribution(n), theta_samples=64, seed=0)
+    for res in rep.results:
+        assert abs(res.radius - 1.0) <= 1e-9
+        assert np.max(np.abs(res.p_return + pole)) <= 1e-9
+        assert abs(res.winding - np.pi) <= 1e-9
+        assert abs(res.arc_length - np.pi) <= 1e-9
+
+
+@pytest.mark.parametrize("slope", [0.1, 0.3, 1.0])
+def test_radial_graph_returns_in_closed_form_at_64_sections(slope):
+    rep = first_return_constancy(radial_graph_distribution(3, slope),
+                                 theta_samples=64, seed=0)
+    for res in rep.results:
+        assert abs(res.radius - np.exp(-2.0 * slope)) <= 1e-9
+
+
+def test_sample_failures_name_exactly_the_non_transversal_sections():
+    # normal (u_0 - c) u + (e_0 - u_0 u) at the direction u of x: its radial
+    # part u_0 - c vanishes where u_0 = c.  On the section of theta, u_0 =
+    # sin(phi) theta_0 peaks at theta_0, so exactly the sections with
+    # theta_0 > c lose transversality on the way to the opposite ray
+    c = 0.7
+
+    def normal(x):
+        u = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        e0 = np.zeros(x.shape[-1])
+        e0[0] = 1.0
+        return (u[..., :1] - c) * u + (e0 - u[..., :1] * u)
+
+    thetas = first_return_constancy(sphere_distribution(3), theta_samples=64,
+                                    seed=0).thetas
+    expected = tuple(int(k) for k in np.flatnonzero(thetas[:, 0] > c))
+    assert 0 < len(expected) < 64
+    with pytest.raises(SampleFailureError) as info:
+        first_return_constancy(RadialDistribution(3, normal), theta_samples=64, seed=0)
+    assert info.value.indices == expected
+
+
+def test_orbit_tangents_of_a_conjugated_so3_return_to_radius_one():
+    # P M P^-1 has the ellipsoids |P^-1 x| = c as leaves, with P = diag(1, 1, 10)
+    so3 = builtin_corpus("so3")
+    p = np.diag([1.0, 1.0, 10.0])
+    spec = bilinear_system([p @ m @ np.linalg.inv(p) for m in so3.family.matrices])
+    rep = first_return_constancy(orbit_tangent_distribution(spec), theta_samples=16,
+                                 seed=0)
+    for res in rep.results:
+        assert abs(res.radius - 1.0) <= 1e-8

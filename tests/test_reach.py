@@ -254,17 +254,29 @@ def test_degenerate_underflow_reported():
 
 
 def test_degenerate_reported_at_first_recorded_underflow():
-    # exp(-t) * 1e-150 underflows inside the 300-unit segment: the
-    # trajectory ends at the first recorded state whose norm is below
-    # DEGENERATE_NORM, not at the end of the segment
+    # exp(-t) * 1e-290 falls below DEGENERATE_NORM inside the 300-unit
+    # segment: the trajectory ends at the first recorded state whose norm is
+    # below it, not at the end of the segment
     fam = type(PJ.family)((-np.eye(2),))
-    traj = simulate_bilinear(fam, ControlSchedule(((0, 300.0),)), [1e-150, 0.0],
+    traj = simulate_bilinear(fam, ControlSchedule(((0, 300.0),)), [1e-290, 0.0],
                              record_dt=10.0)
-    norms = np.linalg.norm(traj.states, axis=1)
+    norms = np.hypot.reduce(np.abs(traj.states), axis=1)  # squares would underflow
     assert traj.status == "degenerate"
     assert 0.0 < traj.times[-1] < 300.0
     np.testing.assert_array_equal(traj.times, 10.0 * np.arange(len(traj.times)))
     assert norms[-1] < DEGENERATE_NORM and np.all(norms[:-1] >= DEGENERATE_NORM)
+
+
+@pytest.mark.parametrize("record_dt", [None, 10.0])
+def test_tiny_states_above_degenerate_norm_are_ok(record_dt):
+    # |x| = 1e-150 exp(-t) stays far above DEGENERATE_NORM, although its
+    # square underflows from t = 30 on
+    fam = type(PJ.family)((-np.eye(2),))
+    traj = simulate_bilinear(fam, ControlSchedule(((0, 60.0),)), [1e-150, 0.0],
+                             record_dt=record_dt)
+    assert traj.status == "ok"
+    assert traj.times[-1] == 60.0
+    assert traj.states[-1, 0] == pytest.approx(1e-150 * np.exp(-60.0), rel=1e-12)
 
 
 def test_sampler_deterministic():
