@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlie import DEFAULT_TOL, LieBasis, evaluate_at, frobenius_normalize, lie_closure
+from .matlie import DEFAULT_TOL, LieBasis, evaluate_at, frobenius_normalize, \
+    lie_closure, numerical_rank
 from .model import MatrixFamily, SystemSpec
 from .reach import CoverageGrid, CoverageReport, coverage, sample_attainable
+
+MONOTONE_TOL = 1e-12  # symmetric-part eigenvalues within this of 0, relative
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +67,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class AnalysisBudgets:
-    """Sampling and tolerance knobs for decide_controllability."""
+    """Sampling and tolerance knobs for decide_controllability; the coverage
+    evidence always starts at the first basis vector."""
 
     samples: int = 10000
     reach_budget: int = 100000
@@ -80,7 +84,6 @@ class AnalysisBudgets:
     projective: bool = False
     max_segments: int = 20
     duration_scale: float = 0.5
-    x0: tuple | None = None
     closure_depth_cap: int | None = None
 
 
@@ -116,11 +119,6 @@ def _closure(spec: SystemSpec, tol: float, basis: LieBasis | None) -> LieBasis:
     return lie_closure(spec.family.matrices, tol=tol)
 
 
-def _stacked_batch(mats: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(P, n, d) array of evaluation columns M_k x for each point row x."""
-    return np.einsum("dij,pj->pid", mats, points)
-
-
 def _unit_samples(n: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, 5])
     pts = rng.standard_normal((count, n))
@@ -145,8 +143,7 @@ def transversality_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
         raise ValueError("x must be nonzero")
     basis = _closure(spec, tol, basis)
     cols = np.column_stack([basis.stacked_at(x), x])
-    s = np.linalg.svd(cols, compute_uv=False)
-    return bool(s.size >= spec.n and s[spec.n - 1] > tol * s[0])
+    return bool(numerical_rank(np.linalg.svd(cols, compute_uv=False), tol) == spec.n)
 
 
 _PRESCAN = 512
@@ -156,19 +153,25 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 400
 
 
-def _sigma_n(mats: np.ndarray, pts: np.ndarray):
+def _sigma_n(basis: LieBasis, pts: np.ndarray, radial: bool):
     """n-th and largest singular values of the columns M_k x at each row x of
     pts, and the gradient sum_k v_k M_k^T u of the n-th one, where u and v
-    are its singular vectors.  mats is (d, n, n) with d >= n."""
+    are its singular vectors.  The M_k are the basis elements, with radial
+    also the identity (whose column is x itself); there are at least n."""
     n = pts.shape[1]
-    u, s, vh = np.linalg.svd(_stacked_batch(mats, pts), full_matrices=False)
+    cols, mats = basis.stacked_at(pts), np.reshape(basis.basis, (basis.dim, n, n))
+    if radial:
+        cols = np.concatenate([cols, pts[:, :, None]], axis=2)
+        mats = np.concatenate([mats, np.eye(n)[None]])
+    u, s, vh = np.linalg.svd(cols, full_matrices=False)
     grad = np.einsum("pi,pij->pj", u[:, :, n - 1],
                      np.einsum("pd,dij->pij", vh[:, n - 1, :], mats))
     return s[:, n - 1], s[:, 0], grad
 
 
-def _min_sigma_search(mats: np.ndarray, pts: np.ndarray, restarts: int):
-    """Minimize sigma_n of the columns M_k x over the unit sphere.
+def _min_sigma_search(basis: LieBasis, pts: np.ndarray, restarts: int,
+                      radial: bool):
+    """Minimize sigma_n of the columns M_k x (see _sigma_n) over the unit sphere.
 
     The rows of pts are scanned; projected gradient descent then moves the
     ``restarts`` lowest of them at once (none: scan only).  Each row takes
@@ -176,7 +179,7 @@ def _min_sigma_search(mats: np.ndarray, pts: np.ndarray, restarts: int):
     decrease and halves otherwise, until every step is below _MIN_STEP or
     _MAX_STEPS have passed.  Returns (min_sigma, argmin, sigma_max there).
     """
-    sn, smax, grad = _sigma_n(mats, pts)
+    sn, smax, grad = _sigma_n(basis, pts, radial)
     keep = np.argsort(sn, kind="stable")[:max(restarts, 1)]
     x, f, fmax, g = pts[keep], sn[keep], smax[keep], grad[keep]
     step = np.full(len(keep), _FIRST_STEP if restarts > 0 else 0.0)
@@ -188,7 +191,7 @@ def _min_sigma_search(mats: np.ndarray, pts: np.ndarray, restarts: int):
         norm = np.maximum(np.linalg.norm(tangent, axis=1, keepdims=True), 1e-300)
         y = x - step[:, None] * tangent / norm
         y /= np.linalg.norm(y, axis=1, keepdims=True)
-        fy, fmax_y, g_y = _sigma_n(mats, y)
+        fy, fmax_y, g_y = _sigma_n(basis, y, radial)
         better = fy < f
         x[better], f[better], fmax[better], g[better] = \
             y[better], fy[better], fmax_y[better], g_y[better]
@@ -208,26 +211,23 @@ def min_rank_search(spec: SystemSpec, restarts: int = 12, seed: int = 0,
     n = spec.n
     if basis.dim < n:
         # Fewer directions than dimensions: rank < n everywhere.
-        x = np.zeros(n)
-        x[0] = 1.0
-        smax = float(np.linalg.svd(basis.stacked_at(x), compute_uv=False)[0]) \
-            if basis.dim else 0.0
-        return MinRankResult(0.0, x, smax, True)
+        x = np.eye(n)[0]
+        smax = np.max(np.linalg.svd(basis.stacked_at(x), compute_uv=False), initial=0.0)
+        return MinRankResult(0.0, x, float(smax), True)
     sigma, argmin, smax = _min_sigma_search(
-        np.stack(basis.basis), _unit_samples(n, _PRESCAN, seed), restarts)
+        basis, _unit_samples(n, _PRESCAN, seed), restarts, radial=False)
     return MinRankResult(sigma, argmin, smax,
                          is_witness=sigma <= tol * max(smax, 1e-300))
 
 
-def monotone_norm_certificate(family: MatrixFamily,
-                              tol: float = 1e-12) -> MonotoneNorm | None:
+def monotone_norm_certificate(family: MatrixFamily) -> MonotoneNorm | None:
     """Certificate that |x(t)| is monotone along every trajectory, if any.
 
-    Symmetric-part eigenvalues are compared against tol times the norm of
-    their generator; the raw eigenvalues are recorded.
+    Symmetric-part eigenvalues are compared against MONOTONE_TOL times the
+    norm of their generator; the raw eigenvalues are recorded.
     """
     eigs = [np.linalg.eigvalsh((m + m.T) / 2.0) for m in family.matrices]
-    slack = [tol * frobenius_normalize(m)[1] for m in family.matrices]
+    slack = [MONOTONE_TOL * frobenius_normalize(m)[1] for m in family.matrices]
     if all(np.max(np.abs(e)) <= s for e, s in zip(eigs, slack)):
         direction = "constant"
     elif all(e.min() >= -s for e, s in zip(eigs, slack)):
@@ -255,8 +255,7 @@ def angular_accessibility(spec: SystemSpec, samples: int = 1000, seed: int = 0,
     pts = _unit_samples(n, samples, seed)
     if basis.dim + 1 < n:
         return AngularReport("inaccessible", pts[0], 0.0)
-    mats = np.stack(basis.basis + (np.eye(n),))
-    sigma, argmin, smax = _min_sigma_search(mats, pts, _ANGULAR_RESTARTS)
+    sigma, argmin, smax = _min_sigma_search(basis, pts, _ANGULAR_RESTARTS, radial=True)
     if sigma <= tol * max(smax, 1e-300):
         return AngularReport("inaccessible", argmin, sigma)
     return AngularReport("accessible", None, sigma)
@@ -270,12 +269,9 @@ def orbit_dimension_profile(spec: SystemSpec, samples: int = 100, seed: int = 0,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     basis = _closure(spec, tol, basis)
-    pts = _unit_samples(spec.n, samples, seed)
-    if basis.dim == 0:
-        return (0,) * samples
-    s = np.linalg.svd(_stacked_batch(np.stack(basis.basis), pts), compute_uv=False)
-    smax = np.maximum(s[:, 0], 1e-300)
-    return tuple(int(d) for d in np.sum(s > tol * smax[:, None], axis=1))
+    s = np.linalg.svd(basis.stacked_at(_unit_samples(spec.n, samples, seed)),
+                      compute_uv=False)
+    return tuple(int(d) for d in numerical_rank(s, tol))
 
 
 def _coverage_grid(spec: SystemSpec, budgets: AnalysisBudgets) -> CoverageGrid:
@@ -285,11 +281,9 @@ def _coverage_grid(spec: SystemSpec, budgets: AnalysisBudgets) -> CoverageGrid:
 
 
 def _reach_evidence(spec: SystemSpec, budgets: AnalysisBudgets) -> CoverageReport:
-    x0 = np.array(budgets.x0, dtype=float) if budgets.x0 is not None \
-        else np.eye(spec.n)[0]
-    cloud = sample_attainable(spec, x0, budgets.reach_budget, budgets.seed,
-                              max_segments=budgets.max_segments,
-                              duration_scale=budgets.duration_scale)
+    cloud = sample_attainable(
+        spec, np.eye(spec.n)[0], budgets.reach_budget, budgets.seed,
+        max_segments=budgets.max_segments, duration_scale=budgets.duration_scale)
     return coverage(cloud, _coverage_grid(spec, budgets))
 
 

@@ -56,35 +56,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=tolerance, default=1e-9)
-    common.add_argument("--samples", type=int, default=10000)
-    common.add_argument("--budget", type=int, default=100000)
-    common.add_argument("--coverage-threshold", type=fraction, default=0.99)
-    common.add_argument("--grid", type=int, default=32,
-                        help="number of angular cells (default 32)")
-    common.add_argument("--radial-bins", type=int, default=16)
-    common.add_argument("--projective", action="store_true",
-                        help="measure coverage on the antipodal quotient")
-    common.add_argument("--out", type=str, default=None)
+    # small parents, each shared only by the subcommands that read its flags
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=tolerance, default=1e-9)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None)
+    cover = argparse.ArgumentParser(add_help=False)  # sampling and coverage grid
+    cover.add_argument("--budget", type=int, default=100000)
+    cover.add_argument("--grid", type=int, default=32,
+                       help="number of angular cells (default 32)")
+    cover.add_argument("--radial-bins", type=int, default=16)
+    cover.add_argument("--projective", action="store_true",
+                       help="measure coverage on the antipodal quotient")
 
     source = argparse.ArgumentParser(add_help=False)
     group = source.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=BUILTIN_NAMES)
     group.add_argument("--spec", type=str, help="path to a system document")
 
-    p = sub.add_parser("analyze", parents=[common, source],
+    p = sub.add_parser("analyze", parents=[seed, tol, cover, out, source],
                        help="run the decision pipeline and write a verdict report")
+    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--coverage-threshold", type=fraction, default=0.99)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reach", parents=[common, source],
+    p = sub.add_parser("reach", parents=[seed, cover, out, source],
                        help="sample the attainable set and write cloud + coverage")
     p.add_argument("--x0", type=str, default=None,
                    help="comma-separated start point (default: first basis vector)")
     p.set_defaults(func=cmd_reach)
 
-    p = sub.add_parser("foliation", parents=[common],
+    p = sub.add_parser("foliation", parents=[seed, tol, out],
                        help="trace planar first-return arcs of a leaf field")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--example", choices=FOLIATION_EXAMPLES)
@@ -93,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", type=str,
                        help="orbit tangents of a bilinear system document")
     p.add_argument("--theta-samples", type=int, default=64)
-    p.add_argument("--dim", type=int, default=3,
-                   help="state dimension for --example sphere")
+    p.add_argument("--dim", type=int, default=None,
+                   help="state dimension for --example (default 3)")
     p.set_defaults(func=cmd_foliation)
 
-    p = sub.add_parser("corpus", parents=[common],
+    p = sub.add_parser("corpus", parents=[out],
                        help="list built-in systems or emit one as a document")
     p.add_argument("--builtin", choices=BUILTIN_NAMES, default=None)
     p.set_defaults(func=cmd_corpus)
@@ -132,18 +136,18 @@ def _write_or_print(text: str, out: str | None):
         Path(out).write_text(text)
 
 
+_ENVIRONMENT_KEYS = {"seed": "seed", "tol": "tol", "samples": "samples",
+                     "budget": "budget", "coverage_threshold": "coverage_threshold",
+                     "grid_angular": "grid", "grid_radial": "radial_bins",
+                     "projective": "projective"}
+
+
 def _environment(args) -> dict:
-    return {
-        "version": __version__,
-        "seed": args.seed,
-        "tol": args.tol,
-        "samples": args.samples,
-        "budget": args.budget,
-        "coverage_threshold": args.coverage_threshold,
-        "grid_angular": args.grid,
-        "grid_radial": args.radial_bins,
-        "projective": args.projective,
-    }
+    """The version and the shared settings the subcommand has flags for."""
+    env = {"version": __version__}
+    env.update((key, getattr(args, dest)) for key, dest in _ENVIRONMENT_KEYS.items()
+               if hasattr(args, dest))
+    return env
 
 
 def _certificate_doc(cert) -> dict | None:
@@ -252,11 +256,14 @@ def cmd_reach(args) -> int:
 
 def _foliation_distribution(args):
     if args.example is None:
+        if args.dim is not None:
+            raise ValueError("--dim applies only to --example; a system fixes its own")
         return orbit_tangent_distribution(_load_spec(args), tol=args.tol)
+    n = 3 if args.dim is None else args.dim
     if args.example == "sphere":
-        return sphere_distribution(args.dim)
+        return sphere_distribution(n)
     if args.example == "radial_graph_h03":
-        return radial_graph_distribution(3, slope=0.3)
+        return radial_graph_distribution(n, slope=0.3)
     raise ValueError(f"unknown foliation example: {args.example!r}")
 
 
@@ -323,7 +330,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (FoliationError, OverflowError, np.linalg.LinAlgError) as exc:
+    except (FoliationError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

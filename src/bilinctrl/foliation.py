@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlie import LieBasis, lie_closure
+from .matlie import LieBasis, lie_closure, numerical_rank
 from .model import SystemSpec
 from .reach import integrate_table, spread_directions
 
 TRANS_TOL = 1e-9  # least |cos| between a leaf normal and the ray
 RETURN_PIECES = 64  # equal angle pieces per leaf line, an arc point after each
+CONSTANCY_TOL = 1e-6  # largest deviation of the return radii, relative to their mean
 
 
 class FoliationError(RuntimeError):
@@ -94,29 +95,27 @@ def sphere_distribution(n: int = 3) -> RadialDistribution:
                               name="sphere")
 
 
-def radial_graph_distribution(n: int = 3, slope: float = 0.3,
-                              axis: int | None = None) -> RadialDistribution:
-    """Leaves are radial graphs log|x| = slope * x_axis/|x| + c.
+def radial_graph_distribution(n: int = 3, slope: float = 0.3) -> RadialDistribution:
+    """Leaves are radial graphs log|x| = slope * x_n/|x| + c over the last
+    axis, the pole of the planar sections.
 
-    The defining function is F(x) = log|x| - slope * x_axis/|x|, whose
+    The defining function is F(x) = log|x| - slope * x_n/|x|, whose
     gradient is radial plus a tangential correction; <grad F, x> = 1, so the
     distribution is transversal to rays everywhere.
     """
-    if axis is None:
-        axis = n - 1
     e = np.zeros(n)
-    e[axis] = 1.0
+    e[-1] = 1.0
 
     def normal(x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1, keepdims=True)
         sigma = x / r
-        return x / r**2 - slope * (e - sigma[..., axis:axis + 1] * sigma) / r
+        return x / r**2 - slope * (e - sigma[..., -1:] * sigma) / r
 
     def leaf(x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x)
-        return float(np.log(r) - slope * x[axis] / r)
+        return float(np.log(r) - slope * x[-1] / r)
 
     return RadialDistribution(n, normal, leaf_fn=leaf,
                               name=f"radial_graph(slope={slope})")
@@ -128,26 +127,22 @@ def orbit_tangent_distribution(spec: SystemSpec, basis: LieBasis | None = None,
 
     The normal is the left singular direction of the smallest singular value
     of the evaluation, one batched SVD for a stack of points; it is NaN where
-    the evaluation does not have rank n - 1 (singular values above tol times
-    the largest) or the point is not finite.
+    the evaluation does not have rank n - 1 (matlie.numerical_rank at tol)
+    or the point is not finite.
     """
     if not spec.is_bilinear:
         raise ValueError("orbit tangents need a bilinear system")
     if basis is None:
         basis = lie_closure(spec.family.matrices, tol=tol)
     n = spec.n
-    mats = np.array(basis.basis).reshape(basis.dim, n, n)
 
     def normal(x):
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, np.nan)
-        ok = np.isfinite(x).all(axis=-1)
-        if basis.dim == 0 or not ok.any():
-            return out
-        # columns b @ x, one matrix per point; no SVD of non-finite points
-        u, s, _ = np.linalg.svd(np.einsum("kij,...j->...ik", mats, x[ok]))
-        rank = np.sum(s > tol * s[..., :1], axis=-1)
-        out[ok] = np.where((rank == n - 1)[..., None], u[..., -1], np.nan)
+        ok = np.isfinite(x).all(axis=-1)  # no SVD of non-finite points
+        u, s, _ = np.linalg.svd(basis.stacked_at(x[ok]))
+        out[ok] = np.where((numerical_rank(s, tol) == n - 1)[..., None],
+                           u[..., -1], np.nan)
         return out
 
     return RadialDistribution(n, normal, leaf_fn=None,
@@ -360,13 +355,13 @@ class ConstancyReport:
 
 
 def first_return_constancy(distr: RadialDistribution, theta_samples: int = 64,
-                           seed: int = 0, tol: float = 1e-6) -> ConstancyReport:
+                           seed: int = 0) -> ConstancyReport:
     """Evaluate the return radius over sampled section directions.
 
     All sections run from the pole as one table.  The radii of a genuine
     homogeneous codimension-one leaf field transversal to rays must agree
     across directions; ``constant`` holds when the largest deviation from
-    the mean is at most tol times the mean.
+    the mean is at most CONSTANCY_TOL times the mean.
     """
     if distr.n < 3:
         raise ValueError("constancy check requires n >= 3; the equatorial "
@@ -386,7 +381,7 @@ def first_return_constancy(distr: RadialDistribution, theta_samples: int = 64,
     max_dev = float(np.max(np.abs(values - mean)))
     return ConstancyReport(values=tuple(float(v) for v in values),
                            max_deviation=max_dev,
-                           constant=max_dev <= tol * mean,
+                           constant=max_dev <= CONSTANCY_TOL * mean,
                            mean_radius=mean, thetas=thetas,
                            results=tuple(results))
 
@@ -406,15 +401,14 @@ class ArcFamily:
 
 
 def arc_family(distr: RadialDistribution, theta_samples: int = 64,
-               seed: int = 0, constancy_tol: float = 1e-6) -> ArcFamily:
+               seed: int = 0) -> ArcFamily:
     """Build the family of arcs over sampled directions.
 
     Requires the return radius to be constant across directions (within
-    constancy_tol); all arcs then run from the pole to the common return
+    CONSTANCY_TOL); all arcs then run from the pole to the common return
     point, and the union of their points stays in a bounded annulus.
     """
-    report = first_return_constancy(distr, theta_samples=theta_samples,
-                                    seed=seed, tol=constancy_tol)
+    report = first_return_constancy(distr, theta_samples=theta_samples, seed=seed)
     if not report.constant:
         raise FoliationError(
             f"return radius varies across directions "

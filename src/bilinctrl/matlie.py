@@ -65,11 +65,16 @@ class LieBasis:
     converged: bool
 
     def stacked_at(self, x) -> np.ndarray:
-        """n x dim matrix whose columns are b @ x for each basis element."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 0:
-            return np.zeros((self.n, 0))
-        return np.column_stack([b @ x for b in self.basis])
+        """Columns b @ x for each basis element b: an n x dim matrix at a
+        point x, and a stack (..., n, dim) at a stack of points (..., n)."""
+        mats = np.reshape(self.basis, (self.dim, self.n, self.n))
+        return np.einsum("kij,...j->...ik", mats, np.asarray(x, dtype=float))
+
+
+def numerical_rank(s, tol: float):
+    """Rank rule for singular values s in descending order along the last
+    axis: how many exceed tol times the largest (0 for none or all zero)."""
+    return np.sum(s > tol * s[..., :1], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +160,8 @@ def lie_closure(generators, tol: float = DEFAULT_TOL, depth_cap: int | None = No
 def evaluate_at(basis: LieBasis, x, tol: float | None = None) -> SubspaceReport:
     """Evaluate the subspace at a nonzero point x: span{b @ x} and its rank.
 
-    Rank counts singular values above ``tol`` times the largest one; ``tol``
-    defaults to the tolerance the basis was built with.
+    The rank follows numerical_rank; ``tol`` defaults to the tolerance the
+    basis was built with.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
@@ -166,11 +171,8 @@ def evaluate_at(basis: LieBasis, x, tol: float | None = None) -> SubspaceReport:
     if tol is None:
         tol = basis.tol
     cols = basis.stacked_at(x)
-    if cols.shape[1] == 0:
-        return SubspaceReport(cols, 0, np.zeros(0))
     s = np.linalg.svd(cols, compute_uv=False)
-    dim = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    return SubspaceReport(cols, dim, s)
+    return SubspaceReport(cols, int(numerical_rank(s, tol)), s)
 
 
 def matrix_exponential(a, t: float = 1.0) -> np.ndarray:

@@ -137,9 +137,10 @@ def integrate_table(fields, x0s, indices, durations):
     (bounds, stop, left): bounds[r, j] is row r's state after segment j.  A
     row stops in segment stop[r] (else the segment count) with left[r] of it
     to go once its norm passes BLOWUP_NORM, and then stays put in bounds, or
-    once its step no longer moves its clock, or its state right after a
-    rejected step, and then turns non-finite."""
+    once its step no longer moves its clock (the time since the row's start),
+    or its state right after a rejected step, and then turns non-finite."""
     rows, segs = durations.shape
+    starts = np.cumsum(np.abs(durations), axis=1) - np.abs(durations)
     bounds = np.empty((rows, segs, x0s.shape[1]))
     stop, left = np.full(rows, segs), np.zeros(rows)
     # live rows with their states, segments, time left in them, steps and
@@ -163,6 +164,7 @@ def integrate_table(fields, x0s, indices, durations):
                 if not live.size:
                     return bounds, stop, left
                 dur, f = durations[live, seg], _field_rows(fields, indices[live, seg])
+                t0 = starts[live, seg]
             step = np.minimum(h, rem)
             u5, err = rk_step(f, x, np.copysign(step, dur))
             tol = SMOOTH_TOL * (1.0 + np.linalg.norm(x, axis=1))
@@ -174,7 +176,7 @@ def integrate_table(fields, x0s, indices, durations):
             h = np.where(ok & (step < h), h, step * grow)
             x[ok] = u5[ok]
             rem = np.where(ok, rem - step, rem)  # exactly 0 after the last step
-            t = np.abs(dur) - rem  # time into the segment
+            t = t0 + (np.abs(dur) - rem)  # time since the row's start
             blow = ok & (np.linalg.norm(u5, axis=1) > BLOWUP_NORM)
             stall = ((t + h == t) | stuck) & ~blow
             halt = blow | stall

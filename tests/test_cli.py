@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bilinctrl.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_UNDETERMINED, main
+from bilinctrl.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_UNDETERMINED, \
+    build_parser, main
 from bilinctrl.model import builtin_corpus, parse_system
 
 
@@ -243,3 +245,106 @@ def test_every_subcommand_rejects_bad_coverage_threshold(tmp_path, capsys, argv,
     assert run(*argv, "--coverage-threshold", threshold, "--out", str(out)) == EXIT_INVALID
     assert "--coverage-threshold" in capsys.readouterr().err
     assert not out.exists()
+
+
+SUBCOMMAND_BASES = {
+    "reach": ("reach", "--builtin", "planar_jd", "--budget", "100"),
+    "foliation": ("foliation", "--example", "sphere", "--theta-samples", "2"),
+    "corpus": ("corpus",),
+}
+FLAG_VALUES = {"--seed": "1", "--tol": "1e-6", "--samples": "10", "--budget": "10",
+               "--coverage-threshold": "0.5", "--grid": "8", "--radial-bins": "4",
+               "--projective": None, "--dim": "3"}
+UNREAD_FLAGS = [
+    ("reach", "--tol"), ("reach", "--samples"), ("reach", "--coverage-threshold"),
+    *(("foliation", f) for f in ("--samples", "--budget", "--coverage-threshold",
+                                 "--grid", "--radial-bins", "--projective")),
+    *(("corpus", f) for f in ("--seed", "--tol", "--samples", "--budget",
+                              "--coverage-threshold", "--grid", "--radial-bins",
+                              "--projective")),
+    ("reach", "--dim"), ("corpus", "--dim"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    # all but --dim used to be accepted and never read
+    value = FLAG_VALUES[flag]
+    out = tmp_path / "out"
+    argv = (*SUBCOMMAND_BASES[command], flag, *(() if value is None else (value,)))
+    assert run(*argv, "--out", str(out)) == EXIT_INVALID
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [("--builtin", "so3"), ("--spec", "system.json")])
+def test_foliation_refuses_dim_with_a_system(tmp_path, capsys, source):
+    # a system fixes its own dimension; --dim used to be ignored there
+    out = tmp_path / "fol"
+    assert run("foliation", *source, "--dim", "4", "--out", str(out)) == EXIT_INVALID
+    assert "--dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_refuses_dim(capsys):
+    assert run("analyze", "--builtin", "so3", "--dim", "3") == EXIT_INVALID
+    assert "--dim" in capsys.readouterr().err
+
+
+def test_environment_records_the_flags_each_subcommand_has(tmp_path):
+    run("analyze", "--builtin", "so3", "--samples", "200", "--out",
+        str(tmp_path / "a.json"))
+    run("reach", "--builtin", "planar_jd", "--budget", "100", "--out",
+        str(tmp_path / "reach"))
+    run("foliation", "--example", "sphere", "--theta-samples", "2", "--out",
+        str(tmp_path / "fol"))
+    docs = {"analyze": tmp_path / "a.json", "reach": tmp_path / "reach" / "coverage.json",
+            "foliation": tmp_path / "fol" / "summary.json"}
+    keys = {name: set(json.loads(path.read_text())["environment"])
+            for name, path in docs.items()}
+    assert keys == {
+        "analyze": {"version", "seed", "tol", "samples", "budget", "coverage_threshold",
+                    "grid_angular", "grid_radial", "projective"},
+        "reach": {"version", "seed", "budget", "grid_angular", "grid_radial",
+                  "projective"},
+        "foliation": {"version", "seed", "tol"},
+    }
+
+
+def test_foliation_example_dim(tmp_path):
+    # --dim used to reach only --example sphere; radial_graph_h03 stayed at 3
+    out = tmp_path / "fol"
+    assert run("foliation", "--example", "radial_graph_h03", "--dim", "4",
+               "--theta-samples", "4", "--out", str(out)) == EXIT_OK
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["n"] == 4
+    assert doc["mean_return_radius"] == pytest.approx(np.exp(-0.6), abs=1e-5)
+    assert (out / "arcs.csv").read_text().splitlines()[0] == "theta_index,t,x_0,x_1,x_2,x_3"
+
+
+def test_foliation_leaf_planes_exit_numerical(tmp_path, capsys, deadline):
+    # the orbits of {shift, Lz} are the planes z = const, whose normal turns
+    # radial on the equator; this used to run without end
+    doc = tmp_path / "shift_lz.json"
+    doc.write_text(json.dumps({"n": 3, "matrices": [
+        [[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, -1, 0], [1, 0, 0], [0, 0, 0]]]}))
+    with deadline(30):
+        code = run("foliation", "--spec", str(doc), "--theta-samples", "2",
+                   "--out", str(tmp_path / "fol"))
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("bilinctrl ")]
+
+
+def test_readme_command_lines_parse():
+    # every documented command line must name only flags its subcommand has
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"analyze", "reach", "foliation", "corpus"}
+    for argv in commands:
+        build_parser().parse_args(argv)

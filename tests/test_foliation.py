@@ -143,10 +143,10 @@ def test_twisted_distribution_is_not_constant():
         return np.stack([x[..., 0], x[..., 1], x[..., 2] + 0.1 * x[..., 0]], axis=-1)
 
     twisted = RadialDistribution(3, normal)
-    rep = first_return_constancy(twisted, theta_samples=12, seed=0, tol=1e-6)
+    rep = first_return_constancy(twisted, theta_samples=12, seed=0)
     assert not rep.constant
     with pytest.raises(FoliationError):
-        arc_family(twisted, theta_samples=12, seed=0, constancy_tol=1e-6)
+        arc_family(twisted, theta_samples=12, seed=0)
 
 
 def test_no_return_within_budget():
@@ -230,3 +230,33 @@ def test_orbit_tangents_of_a_conjugated_so3_return_to_radius_one():
                                  seed=0)
     for res in rep.results:
         assert abs(res.radius - 1.0) <= 1e-8
+
+
+def test_line_into_horizontal_planes_fails_transversality(deadline):
+    # the leaf normal e3 turns radial on the equator, phi = pi/2; steps that
+    # shrink toward it stall on the row's angle clock (this used to creep on
+    # without end, and before that raised NoReturnError)
+    horizontal = RadialDistribution(3, lambda x: np.array([0.0, 0.0, 1.0]))
+    with deadline(20), pytest.raises(TransversalityError):
+        first_return(horizontal, planar_section(THETA))
+
+
+def test_line_on_spheres_through_the_origin_fails(deadline):
+    # leaves |x|^2 = c x_3, normal 2 x_3 x - |x|^2 e3: the leaf through the
+    # pole is the sphere with diameter [0, e3], so the line runs into the
+    # origin (this used to creep on without end, and before that raised
+    # TransversalityError)
+    def normal(x):
+        e3 = np.zeros(x.shape[-1])
+        e3[-1] = 1.0
+        return 2.0 * x[..., -1:] * x - np.sum(x * x, axis=-1, keepdims=True) * e3
+
+    with deadline(20), pytest.raises(FoliationError):
+        first_return(RadialDistribution(3, normal), planar_section(THETA))
+
+
+def test_radial_graph_in_higher_dimension_returns_in_closed_form():
+    rep = first_return_constancy(radial_graph_distribution(4, 0.3), theta_samples=8,
+                                 seed=0)
+    assert rep.constant
+    assert rep.mean_radius == pytest.approx(np.exp(-0.6), abs=1e-6)
