@@ -108,18 +108,17 @@ class AngularReport:
     min_sigma: float
 
 
-def _require_bilinear(spec: SystemSpec):
+def _closure(spec: SystemSpec, tol: float, basis: LieBasis | None) -> LieBasis:
     if not spec.is_bilinear:
         raise ValueError("this analysis requires a bilinear system")
-
-
-def _closure(spec: SystemSpec, tol: float, basis: LieBasis | None) -> LieBasis:
     if basis is not None:
         return basis
     return lie_closure(spec.family.matrices, tol=tol)
 
 
 def _unit_samples(n: int, count: int, seed: int) -> np.ndarray:
+    if count < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng([seed, 5])
     pts = rng.standard_normal((count, n))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -128,7 +127,6 @@ def _unit_samples(n: int, count: int, seed: int) -> np.ndarray:
 def larc_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
             basis: LieBasis | None = None) -> LarcResult:
     """Does the evaluated Lie closure span all of R^n at x?"""
-    _require_bilinear(spec)
     basis = _closure(spec, tol, basis)
     report = evaluate_at(basis, x, tol=tol)
     return LarcResult(holds=report.dim == spec.n, dim=report.dim)
@@ -137,7 +135,6 @@ def larc_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
 def transversality_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
                       basis: LieBasis | None = None) -> bool:
     """Does the evaluated closure plus the radial line span R^n at x?"""
-    _require_bilinear(spec)
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0.0:
         raise ValueError("x must be nonzero")
@@ -206,7 +203,6 @@ def min_rank_search(spec: SystemSpec, restarts: int = 12, seed: int = 0,
     """Search the unit sphere for the smallest n-th singular value of the
     stacked closure evaluation; a relative near-zero flags a rank-drop witness.
     """
-    _require_bilinear(spec)
     basis = _closure(spec, tol, basis)
     n = spec.n
     if basis.dim < n:
@@ -247,9 +243,6 @@ def angular_accessibility(spec: SystemSpec, samples: int = 1000, seed: int = 0,
     basis plus the identity (whose column is x itself), over ``samples``
     scan points.  A near-singular point is an inaccessibility witness.
     """
-    _require_bilinear(spec)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     basis = _closure(spec, tol, basis)
     n = spec.n
     pts = _unit_samples(n, samples, seed)
@@ -265,9 +258,6 @@ def orbit_dimension_profile(spec: SystemSpec, samples: int = 100, seed: int = 0,
                             tol: float = DEFAULT_TOL,
                             basis: LieBasis | None = None) -> tuple:
     """Evaluated closure dimensions at seeded random unit points."""
-    _require_bilinear(spec)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     basis = _closure(spec, tol, basis)
     s = np.linalg.svd(basis.stacked_at(_unit_samples(spec.n, samples, seed)),
                       compute_uv=False)

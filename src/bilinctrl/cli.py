@@ -20,6 +20,7 @@ from .analysis import AnalysisBudgets, LarcFailure, MonotoneNorm, Verdict, \
     decide_controllability
 from .foliation import FoliationError, arc_family, orbit_tangent_distribution, \
     radial_graph_distribution, sphere_distribution
+from .matlie import DEFAULT_TOL
 from .model import BUILTIN_NAMES, SystemSpec, builtin_corpus, parse_system, \
     serialize_system
 from .reach import CoverageGrid, coverage, sample_attainable
@@ -59,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     # small parents, each shared only by the subcommands that read its flags
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=tolerance, default=1e-9)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=str, default=None)
     cover = argparse.ArgumentParser(add_help=False)  # sampling and coverage grid
@@ -76,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--builtin", choices=BUILTIN_NAMES)
     group.add_argument("--spec", type=str, help="path to a system document")
 
-    p = sub.add_parser("analyze", parents=[seed, tol, cover, out, source],
+    p = sub.add_parser("analyze", parents=[seed, cover, out, source],
                        help="run the decision pipeline and write a verdict report")
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--coverage-threshold", type=fraction, default=0.99)
     p.set_defaults(func=cmd_analyze)
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated start point (default: first basis vector)")
     p.set_defaults(func=cmd_reach)
 
-    p = sub.add_parser("foliation", parents=[seed, tol, out],
+    p = sub.add_parser("foliation", parents=[seed, out],
                        help="trace planar first-return arcs of a leaf field")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--example", choices=FOLIATION_EXAMPLES)
@@ -99,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-samples", type=int, default=64)
     p.add_argument("--dim", type=int, default=None,
                    help="state dimension for --example (default 3)")
+    p.add_argument("--tol", type=tolerance, default=None)  # orbit tangents only
     p.set_defaults(func=cmd_foliation)
 
     p = sub.add_parser("corpus", parents=[out],
@@ -255,9 +256,14 @@ def cmd_reach(args) -> int:
 
 
 def _foliation_distribution(args):
+    """The leaf field to trace; resolves --tol, which only orbit tangents read."""
+    if args.example is None and args.dim is not None:
+        raise ValueError("--dim applies only to --example; a system fixes its own")
+    if args.example is not None and args.tol is not None:
+        raise ValueError("--tol applies only to --builtin/--spec; an example has none")
+    if args.tol is None:
+        args.tol = DEFAULT_TOL
     if args.example is None:
-        if args.dim is not None:
-            raise ValueError("--dim applies only to --example; a system fixes its own")
         return orbit_tangent_distribution(_load_spec(args), tol=args.tol)
     n = 3 if args.dim is None else args.dim
     if args.example == "sphere":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlie import LieBasis, lie_closure, numerical_rank
+from .matlie import DEFAULT_TOL, LieBasis, lie_closure, numerical_rank
 from .model import SystemSpec
 from .reach import integrate_table, spread_directions
 
@@ -122,7 +122,7 @@ def radial_graph_distribution(n: int = 3, slope: float = 0.3) -> RadialDistribut
 
 
 def orbit_tangent_distribution(spec: SystemSpec, basis: LieBasis | None = None,
-                               tol: float = 1e-9) -> RadialDistribution:
+                               tol: float = DEFAULT_TOL) -> RadialDistribution:
     """Leaf tangents spanned by the evaluated Lie closure of a bilinear system.
 
     The normal is the left singular direction of the smallest singular value

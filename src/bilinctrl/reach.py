@@ -2,8 +2,8 @@
 
 Schedules run as tables, one row per schedule, through one runner in
 simulation (a one-row table), sampling and reach search alike: bilinear rows
-are products of flows exp(t M_k) x applied by one batched kernel, smooth rows
-go through one batched Fehlberg integrator.  Attainable-set clouds are
+are products of flows exp(t M_k) x, one batched flow per generator, smooth
+rows go through one batched Fehlberg integrator.  Attainable-set clouds are
 produced by a seeded random-schedule sampler whose per-schedule randomness is
 a pure function of (seed, schedule index), so any execution order yields the
 same cloud.  Coverage is measured on angular cells (equal-area for n <= 3)
@@ -51,40 +51,6 @@ def _check_x0(x0, n) -> np.ndarray:
     if not np.all(np.isfinite(x0)) or not np.any(x0):
         raise ValueError("x0 must be finite and nonzero")
     return x0
-
-
-class _FamilyFlows:
-    """The flow kernel of a bilinear family: exp(t M_k) applied to batches
-    of states, through cached eigenfactors when they reconstruct M_k to near
-    machine precision and one stacked scaling-and-squaring call otherwise.
-    """
-
-    def __init__(self, family: MatrixFamily):
-        self.mats = family.matrices
-        self.eig = []
-        for m in self.mats:
-            item = None
-            try:
-                w, v = np.linalg.eig(m)
-                vinv = np.linalg.inv(v)
-                err = np.linalg.norm((v * w) @ vinv - m)
-                if err <= 1e-12 * (1.0 + np.linalg.norm(m)):
-                    item = (w, v, vinv)
-            except np.linalg.LinAlgError:
-                item = None
-            self.eig.append(item)
-
-    def apply_rows(self, k: int, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Row r of the result is exp(ts[r] M_k) @ xs[r]; overflow gives
-        non-finite rows rather than an error."""
-        item = self.eig[k]
-        if item is None:
-            exps = scipy.linalg.expm(ts[:, None, None] * self.mats[k])
-            return np.einsum("rij,rj->ri", exps, xs)
-        w, v, vinv = item
-        y = xs @ vinv.T
-        y = y * np.exp(ts[:, None] * w[None, :])
-        return np.real(y @ v.T)
 
 
 # --- smooth fields: one batched Fehlberg 4(5) integrator --------------------
@@ -191,28 +157,50 @@ def integrate_table(fields, x0s, indices, durations):
 
 # --- running schedules: one table runner ----------------------------------
 
-def _run_table(spec, flows, x0s, indices, durations):
-    """Run the segments (indices[r, j], durations[r, j]) of each table row r
-    from x0s[r]: the one place that decides how a schedule runs.  A smooth
-    table goes through integrate_table, a bilinear one column by column
-    through the flow kernel flows: a zero duration leaves the state as it
-    is, rows never stop, and a row that overflows turns non-finite.  Returns
-    (bounds, stop, left) as integrate_table does."""
+def _flow(m):
+    """The map (ts, xs) -> rows exp(ts[r] M) @ xs[r], through cached
+    eigenfactors of M when they reconstruct it to near machine precision and
+    one stacked scaling-and-squaring call otherwise; overflow gives
+    non-finite rows rather than an error."""
+    try:
+        w, v = np.linalg.eig(m)
+        vinv = np.linalg.inv(v)
+        err = np.linalg.norm((v * w) @ vinv - m)
+        exact = err <= 1e-12 * (1.0 + np.linalg.norm(m))
+    except np.linalg.LinAlgError:
+        exact = False
+    if exact:
+        return lambda ts, xs: np.real((xs @ vinv.T) * np.exp(ts[:, None] * w) @ v.T)
+    return lambda ts, xs: np.einsum(
+        "rij,rj->ri", scipy.linalg.expm(ts[:, None, None] * m), xs)
+
+
+def _runner(spec):
+    """The function (x0s, indices, durations) -> (bounds, stop, left) that
+    runs schedule tables of spec as integrate_table does: the one place that
+    decides how a schedule runs.  A bilinear table runs column by column
+    through one flow per generator, built here once: a zero duration leaves
+    the state as it is, rows never stop, and a row that overflows turns
+    non-finite."""
     if not spec.is_bilinear:
-        return integrate_table(spec.fields, x0s, indices, durations)
-    rows, segs = durations.shape
-    # segment-major, so that each column of boundary states is one block
-    bounds = np.empty((segs, rows, x0s.shape[1])).transpose(1, 0, 2)
-    x = np.array(x0s, dtype=float)
-    for j in range(segs):
-        t = durations[:, j]
-        active = t != 0.0
-        for k in range(len(flows.mats)):
-            sel = active & (indices[:, j] == k)
-            if sel.any():
-                x[sel] = flows.apply_rows(k, t[sel], x[sel])
-        bounds[:, j] = x
-    return bounds, np.full(rows, segs), np.zeros(rows)
+        return lambda *table: integrate_table(spec.fields, *table)
+    flows = [_flow(m) for m in spec.family.matrices]
+
+    def run(x0s, indices, durations):
+        rows, segs = durations.shape
+        # segment-major, so that each column of boundary states is one block
+        bounds = np.empty((segs, rows, x0s.shape[1])).transpose(1, 0, 2)
+        x = np.array(x0s, dtype=float)
+        for j in range(segs):
+            t = durations[:, j]
+            active = t != 0.0
+            for k, flow in enumerate(flows):
+                sel = active & (indices[:, j] == k)
+                if sel.any():
+                    x[sel] = flow(t[sel], x[sel])
+            bounds[:, j] = x
+        return bounds, np.full(rows, segs), np.zeros(rows)
+    return run
 
 
 def simulate(spec: SystemSpec, schedule: ControlSchedule, x0,
@@ -239,9 +227,8 @@ def simulate(spec: SystemSpec, schedule: ControlSchedule, x0,
         times.extend(times[-1] + (dur / steps) * np.arange(1, steps + 1))
         idx += [i] * steps
         durs += [dur / steps] * steps
-    flows = _FamilyFlows(spec.family) if spec.is_bilinear else None
-    bounds, stop, left = _run_table(
-        spec, flows, x0[None, :], np.array([idx], dtype=int), np.array([durs], dtype=float))
+    bounds, stop, left = _runner(spec)(
+        x0[None, :], np.array([idx], dtype=int), np.array([durs], dtype=float))
     states = np.vstack([x0, bounds[0]])
     status, last = "ok", len(durs)
     if stop[0] < last:
@@ -315,9 +302,7 @@ def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
     x0 = _check_x0(x0, spec.n)
     _, indices, durations = _schedule_tables(
         spec.num_fields, budget, seed, max_segments, duration_scale)
-    flows = _FamilyFlows(spec.family) if spec.is_bilinear else None
-    bounds, _, _ = _run_table(
-        spec, flows, np.broadcast_to(x0, (budget, x0.size)), indices, durations)
+    bounds, _, _ = _runner(spec)(np.broadcast_to(x0, (budget, x0.size)), indices, durations)
     # segment by segment, each after its positive durations
     return bounds.transpose(1, 0, 2)[durations.T > 0.0] if boundaries else bounds[:, -1]
 
@@ -502,14 +487,14 @@ class ReachTestResult:
     evaluations: int
 
 
-def _reach_distances(spec, flows, x0, target, cands):
+def _reach_distances(run, x0, target, cands):
     """Distances to target of the endpoints of the candidate segment tuples,
-    run as one zero-padded table, and the endpoints; a row that overflows or
-    stalls counts as infinitely far."""
+    run as one zero-padded table by the runner run, and the endpoints; a row
+    that overflows or stalls counts as infinitely far."""
     segs = max(len(c) for c in cands)
     table = np.array([c + ((0, 0.0),) * (segs - len(c)) for c in cands])
-    ends = _run_table(spec, flows, np.broadcast_to(x0, (len(cands), x0.size)),
-                      table[..., 0].astype(int), table[..., 1])[0][:, -1]
+    ends = run(np.broadcast_to(x0, (len(cands), x0.size)),
+               table[..., 0].astype(int), table[..., 1])[0][:, -1]
     ends[~np.isfinite(ends).all(axis=1)] = np.inf
     # one norm per row, as for a one-row run: a batched norm can round apart
     return np.array([np.linalg.norm(e - target) for e in ends]), ends
@@ -560,12 +545,11 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    flows = _FamilyFlows(spec.family) if spec.is_bilinear else None
+    run = _runner(spec)
     explore = max(1, min(budget, max(budget // 4, 256)))
     _, indices, durations = _schedule_tables(
         spec.num_fields, explore, seed, max_segments, duration_scale)
-    bounds, _, _ = _run_table(
-        spec, flows, np.broadcast_to(x0, (explore, x0.size)), indices, durations)
+    bounds, _, _ = run(np.broadcast_to(x0, (explore, x0.size)), indices, durations)
     dists = np.linalg.norm(bounds[:, -1] - target[None, :], axis=1)
     dists[~np.isfinite(dists)] = np.inf
     best_row = int(np.argmin(dists))
@@ -586,7 +570,7 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
             else:
                 cands.append(_mutate_schedule(best_segs, spec.num_fields, rng, scale))
             states.append(rng.bit_generator.state)
-        dists, _ = _reach_distances(spec, flows, x0, target, cands)
+        dists, _ = _reach_distances(run, x0, target, cands)
         better = np.flatnonzero(dists < best_dist)
         i = int(better[0]) if better.size else len(cands) - 1
         evaluations += i + 1
@@ -596,7 +580,7 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
             scale = max(0.02, scale * 0.95)
 
     witness = ControlSchedule(best_segs)
-    dists, ends = _reach_distances(spec, flows, x0, target, [best_segs])
+    dists, ends = _reach_distances(run, x0, target, [best_segs])
     final_dist, endpoint = float(dists[0]), ends[0]
     hit = final_dist <= eps
     return ReachTestResult(hit=hit, witness=witness if hit else None,

@@ -138,6 +138,35 @@ def test_angular_accessibility_examples():
     assert angular_accessibility(PJ, samples=400, seed=0).status == "accessible"
 
 
+def test_angular_accessibility_too_few_directions():
+    # a closure of dimension d with d + 1 < n cannot span R^n with the ray
+    spec = bilinear_system([np.diag([1.0, 2.0, 3.0])])
+    rep = angular_accessibility(spec, samples=50, seed=0)
+    assert rep.status == "inaccessible" and rep.min_sigma == 0.0
+    assert rep.witness is not None and rep.witness.shape == (3,)
+
+
+@pytest.mark.parametrize("stage", [angular_accessibility, orbit_dimension_profile])
+def test_sphere_scans_refuse_no_samples(stage):
+    with pytest.raises(ValueError, match="samples"):
+        stage(PJ, samples=0)
+
+
+@pytest.mark.parametrize("stage", [
+    lambda spec, basis: larc_at(spec, [1.0, 0.0], basis=basis),
+    lambda spec, basis: transversality_at(spec, [1.0, 0.0], basis=basis),
+    lambda spec, basis: min_rank_search(spec, basis=basis),
+    lambda spec, basis: angular_accessibility(spec, samples=10, basis=basis),
+    lambda spec, basis: orbit_dimension_profile(spec, samples=10, basis=basis),
+], ids=["larc_at", "transversality_at", "min_rank_search", "angular_accessibility",
+        "orbit_dimension_profile"])
+@pytest.mark.parametrize("given_basis", [False, True])
+def test_rank_stages_refuse_smooth_systems(stage, given_basis):
+    basis = lie_closure(PJ.family.matrices) if given_basis else None
+    with pytest.raises(ValueError, match="bilinear"):
+        stage(builtin_corpus("example1"), basis)
+
+
 def test_orbit_dimension_profiles():
     assert set(orbit_dimension_profile(SO3, 100, 0)) == {2}
     assert set(orbit_dimension_profile(PJ, 100, 0)) == {2}

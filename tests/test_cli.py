@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bilinctrl.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_UNDETERMINED, \
-    build_parser, main
+    FOLIATION_EXAMPLES, build_parser, main
 from bilinctrl.model import builtin_corpus, parse_system
 
 
@@ -286,6 +286,16 @@ def test_foliation_refuses_dim_with_a_system(tmp_path, capsys, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("example", FOLIATION_EXAMPLES)
+def test_foliation_refuses_tol_with_an_example(tmp_path, capsys, example):
+    # an example has no tolerance; --tol used to be recorded and ignored there
+    out = tmp_path / "fol"
+    assert run("foliation", "--example", example, "--theta-samples", "2",
+               "--tol", "0.5", "--out", str(out)) == EXIT_INVALID
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_refuses_dim(capsys):
     assert run("analyze", "--builtin", "so3", "--dim", "3") == EXIT_INVALID
     assert "--dim" in capsys.readouterr().err
@@ -335,10 +345,15 @@ def test_foliation_leaf_planes_exit_numerical(tmp_path, capsys, deadline):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def _readme_commands():
+def _readme_block(section, lang):
+    """The first ```lang block under README's "## section" heading."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+    return text.split(f"## {section}", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_commands():
+    return [line.split("#", 1)[0].split()[1:]
+            for line in _readme_block("Command line", "sh").splitlines()
             if line.startswith("bilinctrl ")]
 
 
@@ -348,3 +363,10 @@ def test_readme_command_lines_parse():
     assert {argv[0] for argv in commands} == {"analyze", "reach", "foliation", "corpus"}
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_readme_library_block_runs(capsys):
+    # the documented library calls must run as written
+    exec(compile(_readme_block("Library", "python"), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[0].startswith("controllable ")

@@ -1,5 +1,3 @@
-import signal
-
 import numpy as np
 import pytest
 
@@ -164,27 +162,18 @@ def test_smooth_stall_raises():
                         [0.0, 1.0])
 
 
-def test_smooth_stall_early_in_long_segment_raises():
+def test_smooth_stall_early_in_long_segment_raises(deadline):
     # from (1.999, 1) the NaN region is 0.001 time units in, so a step that
     # no longer moves the state still moves that clock; this used to loop
-    # without end, so an alarm fails the test instead of hanging it
+    # without end, so a deadline fails the test instead of hanging it
     def wall(pts):
         out = np.zeros_like(pts)
         out[..., 0] = np.where(pts[..., 0] < 2.0, 1.0, np.nan)
         return out
 
-    def timeout(*_):
-        raise TimeoutError("simulate_smooth did not return within 20 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(20)
-    try:
-        with pytest.raises(OverflowError):
-            simulate_smooth(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
-                            [1.999, 1.0])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with deadline(20), pytest.raises(OverflowError):
+        simulate_smooth(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
+                        [1.999, 1.0])
 
 
 def test_smooth_sampler_rows_replay_exactly():
@@ -372,6 +361,27 @@ def test_coverage_antipodal_higher_dim_pairing():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((200, 5))
     np.testing.assert_array_equal(grid.cell_indices(pts), grid.cell_indices(-pts))
+
+
+@pytest.mark.parametrize("cells", [8, 18, 32])
+@pytest.mark.parametrize("n", [1, 3])
+def test_coverage_antipodal_quotient_equal_area_cells(n, cells):
+    grid = CoverageGrid(n, angular_cells=cells, radial_bins=2, antipodal=True)
+    plain = CoverageGrid(n, angular_cells=cells, radial_bins=2)
+    assert grid.total_cells == plain.total_cells // 2
+    ids = np.arange(grid.num_angular)
+    partner = grid.antipodal_partner(ids)
+    np.testing.assert_array_equal(grid.antipodal_partner(partner), ids)
+    assert not np.any(partner == ids)
+    rng = np.random.default_rng(cells)
+    units = rng.standard_normal((200, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    np.testing.assert_array_equal(grid.antipodal_partner(grid.angular_index(units)),
+                                  grid.angular_index(-units))
+    pts = units * rng.uniform(0.2, 5.0, size=(200, 1))
+    cells_of = grid.cell_indices(pts)
+    assert np.all(cells_of >= 0)
+    np.testing.assert_array_equal(cells_of, grid.cell_indices(-pts))
 
 
 def test_monotone_family_never_contracts():
