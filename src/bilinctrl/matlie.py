@@ -1,4 +1,5 @@
-"""Matrix Lie-algebra computations: brackets, closures, pointwise evaluation.
+"""Matrix Lie-algebra computations: brackets, closures, pointwise evaluation,
+and the library's one matrix exponential, batched over time slices.
 
 Square real matrices are treated as vectors in R^(n*n) under the Frobenius
 inner product.  Spans are decided numerically with a relative singular-value
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-9
 
@@ -175,15 +175,69 @@ def evaluate_at(basis: LieBasis, x, tol: float | None = None) -> SubspaceReport:
     return SubspaceReport(cols, int(numerical_rank(s, tol)), s)
 
 
+# Degree-13 Padé coefficients of exp and the 1-norm up to which they need no
+# scaling (Higham, "The scaling and squaring method for the matrix
+# exponential revisited", SIAM J. Matrix Anal. Appl. 2005), divided by the
+# constant term so that a zero argument gives exactly the identity.
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1], dtype=float) / 64764752532480000
+_THETA13 = 5.371920351148152
+
+
+def exponential_map(a):
+    """The map ts -> stack of exp(ts[r] * a) for a 1-D array ts.
+
+    Scaling and squaring with the degree-13 Padé approximant, batched over
+    the slices: the powers I, â, ..., â^13 of â = a / |a|_1 are formed here
+    once; each slice gets its own scale 2^s with |ts[r]| |a|_1 / 2^s at most
+    θ13, its approximant from one combination of that power table, one
+    batched solve, and s squarings.  A slice that overflows, or whose
+    |ts[r]| |a|_1 is not finite, comes out non-finite; the others are
+    unaffected, and nothing warns or raises.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    with np.errstate(over="ignore"):  # an inf norm leaves only t = 0 finite
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    unit = a / norm if norm else a
+    powers = [np.eye(n)]
+    for _ in range(13):
+        powers.append(powers[-1] @ unit)
+    powers = np.reshape(powers, (14, n * n))
+
+    def expm(ts):
+        ts = np.asarray(ts, dtype=float)
+        with np.errstate(all="ignore"):
+            tn = np.where(ts == 0.0, 0.0, np.abs(ts) * norm)
+            s = np.maximum(0.0, np.ceil(np.log2(tn / _THETA13)))
+            bad = ~np.isfinite(s)
+            s[bad] = 0.0
+            s = s.astype(int)
+            z = np.where(bad, 0.0, np.ldexp(np.copysign(tn, ts), -s))
+            c = z[:, None] ** np.arange(14) * _PADE13
+            u = (c[:, 1::2] @ powers[1::2]).reshape(-1, n, n)
+            v = (c[:, 0::2] @ powers[0::2]).reshape(-1, n, n)
+            out = np.linalg.solve(v - u, v + u)
+            for i in range(s.max(initial=0)):
+                sq = np.flatnonzero(s > i)
+                part = out[sq]
+                out[sq] = part @ part
+            out[bad] = np.nan
+        return out
+    return expm
+
+
 def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
-    """exp(t * a) by scaling and squaring.
+    """exp(t * a) as a one-slice exponential_map.
 
     Raises OverflowError when the result has non-finite entries.
     """
     a = _as_square(a, "a")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    out = scipy.linalg.expm(t * a)
+    out = exponential_map(a)(np.array([t]))[0]
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed to non-finite entries")
     return out

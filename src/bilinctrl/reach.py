@@ -2,12 +2,14 @@
 
 Schedules run as tables, one row per schedule, through one runner in
 simulation (a one-row table), sampling and reach search alike: bilinear rows
-are products of flows exp(t M_k) x, one batched flow per generator, smooth
-rows go through one batched Fehlberg integrator.  Attainable-set clouds are
-produced by a seeded random-schedule sampler whose per-schedule randomness is
-a pure function of (seed, schedule index), so any execution order yields the
-same cloud.  Coverage is measured on angular cells (equal-area for n <= 3)
-crossed with log-radial bins over an annulus.
+are products of flows exp(t M_k) x, one batched flow per generator (cached
+eigenfactors, or matlie's batched Padé exponential for a defective
+generator), built when a table first uses it; smooth rows go through one
+batched Fehlberg integrator.  Attainable-set clouds are produced by a seeded
+random-schedule sampler whose per-schedule randomness is a pure function of
+(seed, schedule index), so any execution order yields the same cloud.
+Coverage is measured on angular cells (equal-area for n <= 3) crossed with
+log-radial bins over an annulus.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .matlie import exponential_map
 from .model import ControlSchedule, MatrixFamily, SystemSpec
 
 DEGENERATE_NORM = 1e-300
@@ -160,8 +162,9 @@ def integrate_table(fields, x0s, indices, durations):
 def _flow(m):
     """The map (ts, xs) -> rows exp(ts[r] M) @ xs[r], through cached
     eigenfactors of M when they reconstruct it to near machine precision and
-    one stacked scaling-and-squaring call otherwise; overflow gives
-    non-finite rows rather than an error."""
+    otherwise through matlie.exponential_map, the batched Padé exponential
+    with its power table of M built here once; overflow gives non-finite
+    rows rather than an error."""
     try:
         w, v = np.linalg.eig(m)
         vinv = np.linalg.inv(v)
@@ -171,20 +174,20 @@ def _flow(m):
         exact = False
     if exact:
         return lambda ts, xs: np.real((xs @ vinv.T) * np.exp(ts[:, None] * w) @ v.T)
-    return lambda ts, xs: np.einsum(
-        "rij,rj->ri", scipy.linalg.expm(ts[:, None, None] * m), xs)
+    expm = exponential_map(m)
+    return lambda ts, xs: np.einsum("rij,rj->ri", expm(ts), xs)
 
 
 def _runner(spec):
     """The function (x0s, indices, durations) -> (bounds, stop, left) that
     runs schedule tables of spec as integrate_table does: the one place that
     decides how a schedule runs.  A bilinear table runs column by column
-    through one flow per generator, built here once: a zero duration leaves
-    the state as it is, rows never stop, and a row that overflows turns
-    non-finite."""
+    through one flow per generator, built once, when a table first uses it:
+    a zero duration leaves the state as it is, rows never stop, and a row
+    that overflows turns non-finite."""
     if not spec.is_bilinear:
         return lambda *table: integrate_table(spec.fields, *table)
-    flows = [_flow(m) for m in spec.family.matrices]
+    flows = {}
 
     def run(x0s, indices, durations):
         rows, segs = durations.shape
@@ -194,10 +197,12 @@ def _runner(spec):
         for j in range(segs):
             t = durations[:, j]
             active = t != 0.0
-            for k, flow in enumerate(flows):
+            for k, m in enumerate(spec.family.matrices):
                 sel = active & (indices[:, j] == k)
                 if sel.any():
-                    x[sel] = flow(t[sel], x[sel])
+                    if k not in flows:
+                        flows[k] = _flow(m)
+                    x[sel] = flows[k](t[sel], x[sel])
             bounds[:, j] = x
         return bounds, np.full(rows, segs), np.zeros(rows)
     return run

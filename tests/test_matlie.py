@@ -1,7 +1,21 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bilinctrl.matlie import bracket, evaluate_at, lie_closure, matrix_exponential
+import bilinctrl
+from bilinctrl.matlie import (
+    bracket,
+    evaluate_at,
+    exponential_map,
+    lie_closure,
+    matrix_exponential,
+)
 from bilinctrl.model import builtin_corpus
 
 E12 = [[0.0, 1.0], [0.0, 0.0]]
@@ -175,3 +189,62 @@ def test_expm_group_law():
 def test_expm_overflow_reported():
     with np.errstate(over="ignore"), pytest.raises(OverflowError):
         matrix_exponential(np.diag([1000.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, -3.0, 2.0])
+def test_exponential_map_jordan_block_closed_form(n, lam):
+    # exp(t (lam I + N)) = e^(lam t) sum_k (t N)^k / k! for the shift N
+    shift = np.eye(n, k=1)
+    ts = np.array([-7.0, -1.5, 0.0, 0.25, 3.0, 12.0])
+    out = exponential_map(lam * np.eye(n) + shift)(ts)
+    for t, got in zip(ts, out):
+        expect = np.exp(lam * t) * sum(
+            np.linalg.matrix_power(t * shift, k) / math.factorial(k) for k in range(n))
+        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def test_exponential_map_zero_time_is_exact_identity_in_batch():
+    a = np.random.default_rng(6).standard_normal((4, 4))
+    out = exponential_map(a)(np.array([3.0, 0.0, -0.5, -0.0, 40.0]))
+    np.testing.assert_array_equal(out[1], np.eye(4))
+    np.testing.assert_array_equal(out[3], np.eye(4))
+    # |a|_1 overflows to inf, and still exp(0 a) = I
+    np.testing.assert_array_equal(matrix_exponential(np.full((2, 2), 1e308), 0.0), np.eye(2))
+
+
+def test_exponential_map_matches_scipy_on_random_matrices():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        a = rng.standard_normal((n, n)) * rng.uniform(0.1, 4.0)
+        # |t| |a|_1 up to 10, through the unscaled range and a few squarings
+        ts = rng.uniform(-10.0, 10.0, size=6) / np.abs(a).sum(axis=0).max()
+        for t, got in zip(ts, exponential_map(a)(ts)):
+            expect = scipy.linalg.expm(t * a)
+            assert np.linalg.norm(got - expect) <= 1e-11 * np.linalg.norm(expect)
+
+
+def test_exponential_map_nonfinite_slice_leaves_the_others():
+    # |t| |a|_1 = 1e310 is not finite: that slice is, the batch goes on
+    a = np.array([[0.0, 1e10], [0.0, 0.0]])
+    ts = np.array([2.0, 1e300, -3.0e-5, 0.0])
+    out = exponential_map(a)(ts)
+    assert not np.isfinite(out[1]).any()
+    for i in (0, 2, 3):
+        np.testing.assert_array_equal(out[i], exponential_map(a)(ts[i:i + 1])[0])
+    np.testing.assert_array_equal(out[0], [[1.0, 2e10], [0.0, 1.0]])
+
+
+def test_expm_nonfinite_scale_reported():
+    with pytest.raises(OverflowError):
+        matrix_exponential([[0.0, 1e10], [0.0, 0.0]], 1e300)
+
+
+def test_library_imports_without_scipy():
+    # scipy is a test dependency only: importing the package must not load it
+    code = ("import sys, bilinctrl, bilinctrl.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    src = str(Path(bilinctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

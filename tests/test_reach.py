@@ -235,6 +235,26 @@ def test_simulate_overflow_raises():
         simulate_bilinear(fam, ControlSchedule(((0, 1.0),)), [1.0, 1.0])
 
 
+def test_simulate_nonfinite_flow_scale_raises():
+    # |t| |M|_1 = 1e310 is not finite for this defective generator
+    fam = MatrixFamily((np.array([[0.0, 1e10], [0.0, 0.0]]),))
+    with pytest.raises(OverflowError, match="flow overflowed"):
+        simulate_bilinear(fam, ControlSchedule(((0, 1.0), (0, 1e300))), [1.0, 1.0])
+
+
+def test_runner_builds_only_the_flows_a_table_uses(monkeypatch):
+    from bilinctrl import reach
+
+    built = []
+    make = reach._flow
+    monkeypatch.setattr(reach, "_flow", lambda m: built.append(m) or make(m))
+    run = reach._runner(SO3)
+    run(np.ones((2, 3)), np.array([[2, 0], [2, 2]]), np.array([[0.5, 0.0], [0.5, 1.0]]))
+    assert [m is SO3.family.matrices[2] for m in built] == [True]
+    run(np.ones((1, 3)), np.array([[1, 2]]), np.array([[0.5, 0.5]]))
+    assert len(built) == 2
+
+
 def test_degenerate_underflow_reported():
     fam = type(PJ.family)((-np.eye(2),))
     tiny = np.array([1e-250, 0.0])
@@ -323,6 +343,22 @@ def test_sampler_endpoints_match_simulator():
             expect = expm_product(spec.family.matrices, sched.segments, [1.0, 0.5])
             assert np.linalg.norm(ends[i] - expect) \
                 <= 1e-10 * max(1.0, np.linalg.norm(expect))
+
+
+def test_sampler_endpoints_match_simulator_shift_lz():
+    # the batched Padé kernel on a defective n = 3 pair: a nilpotent shift
+    # and a rotation about the third axis
+    shift_lz = bilinear_system([[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+                               name="shift_lz")
+    x0 = [1.0, 0.5, -0.3]
+    _, indices, durations = _schedule_tables(2, 40, 3, 6, 1.0)
+    ends = sample_attainable(shift_lz, x0, 40, seed=3, max_segments=6,
+                             duration_scale=1.0, boundaries=False)
+    for i in range(40):
+        sched = _schedule_from_row(indices[i], durations[i])
+        expect = expm_product(shift_lz.family.matrices, sched.segments, x0)
+        assert np.linalg.norm(ends[i] - expect) <= 1e-10 * max(1.0, np.linalg.norm(expect))
 
 
 def test_coverage_single_point():
