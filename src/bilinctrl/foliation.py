@@ -228,6 +228,16 @@ def _points_and_velocities(distr: RadialDistribution, states: np.ndarray):
     return x, scale * (n_r[:, None] * e_phi - n_phi[:, None] * e_r)
 
 
+def _plane_coords(section: PlanarSection, x, name: str) -> tuple[float, float]:
+    """The plane coordinates (a, b) of x; raises ValueError when x lies off
+    the plane by more than 1e-9 max(1, |x|)."""
+    x = np.asarray(x, dtype=float)
+    a, b = section.to_plane(x)
+    if np.linalg.norm(x - section.to_ambient(a, b)) > 1e-9 * max(1.0, np.linalg.norm(x)):
+        raise ValueError(f"{name} does not lie in the section plane")
+    return a, b
+
+
 def leaf_line_field(distr: RadialDistribution, section: PlanarSection, x) -> np.ndarray:
     """Oriented unit vector spanning (leaf tangent at x) in the section plane.
 
@@ -236,10 +246,7 @@ def leaf_line_field(distr: RadialDistribution, section: PlanarSection, x) -> np.
     TransversalityError when the leaf tangent turns radial there.
     """
     x = np.asarray(x, dtype=float)
-    a, b = section.to_plane(x)
-    resid = np.linalg.norm(x - section.to_ambient(a, b))
-    if resid > 1e-9 * max(1.0, np.linalg.norm(x)):
-        raise ValueError("x does not lie in the section plane")
+    a, b = _plane_coords(section, x, "x")
     if a == 0.0 and b == 0.0:
         raise ValueError("x must be nonzero")
     state = np.concatenate([[np.log(np.hypot(a, b)), np.arctan2(b, a), 0.0],
@@ -314,11 +321,7 @@ def first_return(distr: RadialDistribution, section: PlanarSection, start=None,
     if start is None:
         u = np.array([1.0, 0.0])
     else:
-        a0, b0 = section.to_plane(np.asarray(start, dtype=float))
-        u = np.array([a0, b0])
-        if np.linalg.norm(np.asarray(start, dtype=float)
-                          - section.to_ambient(a0, b0)) > 1e-9 * max(1.0, a0):
-            raise ValueError("start point does not lie in the section plane")
+        u = np.array(_plane_coords(section, start, "start point"))
     if u[0] <= 0.0:
         raise ValueError("start point must lie on the positive pole ray side")
     if arc_budget is None:

@@ -261,8 +261,9 @@ def parse_system(text: str) -> SystemSpec:
     """Parse a JSON system document into a validated SystemSpec.
 
     Schema: n (integer), kind ("bilinear" default, or "builtin"), matrices
-    (array of n x n row-major real arrays), labels (optional strings),
-    builtin_name (required when kind is "builtin"), name (optional).
+    (array of n x n row-major arrays of JSON numbers, not booleans), labels
+    (optional strings), builtin_name (required when kind is "builtin"), name
+    (optional).
     """
     try:
         doc = json.loads(text)
@@ -289,6 +290,9 @@ def parse_system(text: str) -> SystemSpec:
     for k, rows in enumerate(raw):
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError(f"matrices[{k}] must be an array of rows")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for r in rows for v in r):
+            raise ValueError(f"matrices[{k}] entries must be JSON numbers")
         ncols = {len(r) for r in rows}
         if len(ncols) != 1:
             raise ValueError(f"matrices[{k}] has ragged rows")
@@ -304,6 +308,8 @@ def parse_system(text: str) -> SystemSpec:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(mats):
             raise ValueError("labels must be an array matching the number of matrices")
+        if not all(isinstance(s, str) for s in labels):
+            raise ValueError("labels must be strings")
     return bilinear_system(mats, name=str(doc.get("name", "")), labels=labels)
 
 

@@ -46,12 +46,12 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_x0(x0, n) -> np.ndarray:
+def _check_x0(x0, n, name="x0") -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
-        raise ValueError(f"x0 must be a vector of length {n}")
+        raise ValueError(f"{name} must be a vector of length {n}")
     if not np.all(np.isfinite(x0)) or not np.any(x0):
-        raise ValueError("x0 must be finite and nonzero")
+        raise ValueError(f"{name} must be finite and nonzero")
     return x0
 
 
@@ -194,16 +194,17 @@ def _runner(spec):
         # segment-major, so that each column of boundary states is one block
         bounds = np.empty((segs, rows, x0s.shape[1])).transpose(1, 0, 2)
         x = np.array(x0s, dtype=float)
-        for j in range(segs):
-            t = durations[:, j]
-            active = t != 0.0
-            for k, m in enumerate(spec.family.matrices):
-                sel = active & (indices[:, j] == k)
-                if sel.any():
-                    if k not in flows:
-                        flows[k] = _flow(m)
-                    x[sel] = flows[k](t[sel], x[sel])
-            bounds[:, j] = x
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: non-finite rows
+            for j in range(segs):
+                t = durations[:, j]
+                active = t != 0.0
+                for k, m in enumerate(spec.family.matrices):
+                    sel = active & (indices[:, j] == k)
+                    if sel.any():
+                        if k not in flows:
+                            flows[k] = _flow(m)
+                        x[sel] = flows[k](t[sel], x[sel])
+                bounds[:, j] = x
         return bounds, np.full(rows, segs), np.zeros(rows)
     return run
 
@@ -334,8 +335,11 @@ class CoverageGrid:
     of equal height split into sectors for n = 3.  For n > 3 it is the
     nearest-center partition of a seeded spread point set, whose cells do
     not have equal area.  Cell counts are adjusted so the partition is
-    exactly symmetric under x -> -x, which makes the antipodal (projective)
-    quotient exact.
+    exactly symmetric under x -> -x, and cells are numbered so that the
+    antipode of angular cell i is cell (i + num_angular // 2) % num_angular:
+    for n = 3 the cells of azimuth in [0, pi) come first, band b and sector
+    s < S/2 as b S/2 + s, and the far half in reverse band order.  The
+    antipodal (projective) quotient cell of i is then i % (num_angular // 2).
     """
 
     def __init__(self, n: int, angular_cells: int = 32, radial_bins: int = 16,
@@ -391,28 +395,15 @@ class CoverageGrid:
             az = np.mod(np.arctan2(units[:, 1], units[:, 0]), 2.0 * np.pi)
             sector = np.minimum((az / (2.0 * np.pi / self._sectors)).astype(int),
                                 self._sectors - 1)
-            return band * self._sectors + sector
+            half = self._sectors // 2
+            return np.where(sector < half, band * half + sector,
+                            self.num_angular // 2 + (self._bands - 1 - band) * half
+                            + sector - half)
         return np.argmax(units @ self._centers.T, axis=1)
 
     def antipodal_partner(self, idx: np.ndarray) -> np.ndarray:
         """Angular cell containing the antipode of each cell (exact)."""
-        idx = np.asarray(idx)
-        if self.n == 1:
-            return 1 - idx
-        if self.n == 2:
-            return (idx + self.num_angular // 2) % self.num_angular
-        if self.n == 3:
-            band, sector = idx // self._sectors, idx % self._sectors
-            return ((self._bands - 1 - band) * self._sectors
-                    + (sector + self._sectors // 2) % self._sectors)
-        half = self.num_angular // 2
-        return (idx + half) % self.num_angular
-
-    def _quotient_relabel(self) -> np.ndarray:
-        ids = np.arange(self.num_angular)
-        canon = np.minimum(ids, self.antipodal_partner(ids))
-        _, relabeled = np.unique(canon, return_inverse=True)
-        return relabeled
+        return (np.asarray(idx) + self.num_angular // 2) % self.num_angular
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
         """Flat cell index per point; -1 for points outside the annulus."""
@@ -420,14 +411,16 @@ class CoverageGrid:
         if pts.shape[1] != self.n:
             raise ValueError(f"points must have {self.n} columns")
         out = np.full(pts.shape[0], -1, dtype=int)
-        norms = np.linalg.norm(pts, axis=1)
-        ok = np.all(np.isfinite(pts), axis=1) & (norms >= self.r_min) & (norms <= self.r_max)
+        # a row with a NaN or inf entry has a NaN or inf norm, outside the annulus
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(pts, axis=1)
+        ok = (norms >= self.r_min) & (norms <= self.r_max)
         if not ok.any():
             return out
         units = pts[ok] / norms[ok, None]
         a_idx = self.angular_index(units)
         if self.antipodal:
-            a_idx = self._quotient_relabel()[a_idx]
+            a_idx = a_idx % (self.num_angular // 2)
         span = np.log(self.r_max) - np.log(self.r_min)
         rbin = ((np.log(norms[ok]) - np.log(self.r_min)) / span * self.radial_bins)
         rbin = np.minimum(rbin.astype(int), self.radial_bins - 1)
@@ -465,16 +458,14 @@ def coverage(cloud: np.ndarray, grid: CoverageGrid) -> CoverageReport:
     cells = grid.cell_indices(pts)
     inside = cells >= 0
     hits = np.zeros(grid.total_cells, dtype=bool)
-    hits[np.unique(cells[inside])] = True
-    num_angular = grid.total_cells // grid.radial_bins
-    ang_hits = np.zeros(num_angular, dtype=bool)
-    ang_hits[np.unique(cells[inside] // grid.radial_bins)] = True
+    hits[cells[inside]] = True
+    ang_hits = hits.reshape(-1, grid.radial_bins).any(axis=1)
     return CoverageReport(
         hits=hits,
         fraction=float(hits.sum() / grid.total_cells),
         hit_count=int(hits.sum()),
         total_cells=grid.total_cells,
-        angular_fraction=float(ang_hits.sum() / num_angular),
+        angular_fraction=float(ang_hits.sum() / ang_hits.size),
         num_points=int(pts.shape[0]),
         num_in_annulus=int(inside.sum()),
         grid_params=grid.params(),
@@ -502,7 +493,8 @@ def _reach_distances(run, x0, target, cands):
                table[..., 0].astype(int), table[..., 1])[0][:, -1]
     ends[~np.isfinite(ends).all(axis=1)] = np.inf
     # one norm per row, as for a one-row run: a batched norm can round apart
-    return np.array([np.linalg.norm(e - target) for e in ends]), ends
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge finite end: inf
+        return np.array([np.linalg.norm(e - target) for e in ends]), ends
 
 
 def _mutate_schedule(segs, num_fields, rng, scale):
@@ -538,15 +530,9 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     of the target.
     """
     x0 = _check_x0(x0, spec.n)
-    target = np.asarray(target, dtype=float)
-    if target.shape != (spec.n,):
-        raise ValueError(f"target must be a vector of length {spec.n}")
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target must be finite")
+    target = _check_x0(target, spec.n, "target")
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    if np.linalg.norm(target) == 0.0:
-        raise ValueError("target must be nonzero")
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
@@ -555,7 +541,8 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     _, indices, durations = _schedule_tables(
         spec.num_fields, explore, seed, max_segments, duration_scale)
     bounds, _, _ = run(np.broadcast_to(x0, (explore, x0.size)), indices, durations)
-    dists = np.linalg.norm(bounds[:, -1] - target[None, :], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = np.linalg.norm(bounds[:, -1] - target[None, :], axis=1)
     dists[~np.isfinite(dists)] = np.inf
     best_row = int(np.argmin(dists))
     best_segs = _schedule_from_row(indices[best_row], durations[best_row]).segments

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,15 @@ def test_analyze_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+def test_analyze_rejects_non_number_entry(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2, "matrices": [[[{"a": 1}, 0], [0, 0]]]}')
+    assert run("analyze", "--spec", str(bad)) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "error:" in err and "matrices[0]" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_file():
     assert run("analyze", "--spec", "/nonexistent/system.json") == EXIT_INVALID
 
@@ -131,6 +141,19 @@ def test_reach_writes_cloud_and_coverage(tmp_path):
     doc = json.loads((out / "coverage.json").read_text())
     assert 0.0 < doc["coverage"]["fraction"] <= 1.0
     assert doc["coverage"]["grid"]["radial_bins"] == 16
+
+
+def test_reach_overflowing_flows_are_silent(tmp_path, capsys):
+    # exp(t diag(400, -400)) overflows on some sampled rows: they turn
+    # non-finite and leave the annulus without a warning
+    spec = tmp_path / "stiff.json"
+    spec.write_text('{"n": 2, "matrices": [[[400, 0], [0, -400]], [[0, -1], [1, 0]]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("reach", "--spec", str(spec), "--budget", "200",
+                   "--out", str(tmp_path / "run"))
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_reach_requires_out(capsys):

@@ -85,6 +85,16 @@ def test_first_return_scaling():
         assert abs(res.radius - lam * base.radius) <= 1e-8 * lam * base.radius
 
 
+def test_first_return_accepts_far_plane_start():
+    # e3 + 1e8 theta lies in the plane up to rounding of 1.5e-8, far below
+    # 1e-9 |x|; first_return and leaf_line_field share that tolerance
+    sec = planar_section(np.array([np.cos(0.3), np.sin(0.3), 0.0]))
+    start = POLE + 1e8 * sec.theta
+    leaf_line_field(sphere_distribution(3), sec, start)
+    res = first_return(sphere_distribution(3), sec, start)
+    assert abs(res.radius - np.linalg.norm(start)) <= 1e-12 * np.linalg.norm(start)
+
+
 def test_arc_planarity_and_tangency():
     distr = radial_graph_distribution(3, 0.3)
     sec = planar_section(np.array([0.6, 0.8, 0.0]))

@@ -85,6 +85,20 @@ def test_parse_rejects_nonfinite():
         parse_system('{"n": 1, "matrices": [[[1e999]]]}')
 
 
+@pytest.mark.parametrize("entry", ['{"a": 1}', '"1"', "true", "null", "[1]"])
+def test_parse_rejects_non_number_entries(entry):
+    doc = '{"n": 2, "matrices": [[[0, -1], [1, 0]], [[1, 0], [0, %s]]]}' % entry
+    with pytest.raises(ValueError, match=r"matrices\[1\]"):
+        parse_system(doc)
+
+
+@pytest.mark.parametrize("label", ["null", "1", "true", '["a"]'])
+def test_parse_rejects_non_string_labels(label):
+    doc = '{"n": 1, "matrices": [[[1]]], "labels": [%s]}' % label
+    with pytest.raises(ValueError, match="labels"):
+        parse_system(doc)
+
+
 def test_parse_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown kind"):
         parse_system('{"n": 2, "kind": "quantum", "matrices": [[[1, 0], [0, 1]]]}')

@@ -231,7 +231,7 @@ def test_simulate_rejects_nonpositive_record_dt():
 
 def test_simulate_overflow_raises():
     fam = MatrixFamily((np.diag([1000.0, 0.0]),))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+    with pytest.raises(OverflowError):
         simulate_bilinear(fam, ControlSchedule(((0, 1.0),)), [1.0, 1.0])
 
 
@@ -400,7 +400,7 @@ def test_coverage_antipodal_higher_dim_pairing():
 
 
 @pytest.mark.parametrize("cells", [8, 18, 32])
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_coverage_antipodal_quotient_equal_area_cells(n, cells):
     grid = CoverageGrid(n, angular_cells=cells, radial_bins=2, antipodal=True)
     plain = CoverageGrid(n, angular_cells=cells, radial_bins=2)
@@ -418,6 +418,31 @@ def test_coverage_antipodal_quotient_equal_area_cells(n, cells):
     cells_of = grid.cell_indices(pts)
     assert np.all(cells_of >= 0)
     np.testing.assert_array_equal(cells_of, grid.cell_indices(-pts))
+
+
+@pytest.mark.parametrize("antipodal", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_coverage_counts_only_finite_rows(n, antipodal):
+    # rows with NaN, +-inf or mixed inf/NaN entries, and a finite row whose
+    # squared norm overflows, count as points but never as annulus hits
+    grid = CoverageGrid(n, angular_cells=18, radial_bins=4, antipodal=antipodal)
+    rng = np.random.default_rng(n)
+    units = rng.standard_normal((300, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    radii = np.exp(rng.uniform(-4.0, 4.0, size=300))
+    finite = np.vstack([units * radii[:, None], np.full((1, n), 1e200)])
+    bad = np.ones((6, n))
+    bad[0], bad[1], bad[2] = np.nan, np.inf, -np.inf
+    bad[3, 0], bad[3, -1] = np.inf, np.nan
+    bad[4, 0], bad[4, -1] = -np.inf, np.inf
+    bad[5, 0] = np.nan
+    cloud = np.vstack([finite, bad])[rng.permutation(len(finite) + len(bad))]
+    np.testing.assert_array_equal(grid.cell_indices(bad), -1)
+    rep, ref = coverage(cloud, grid), coverage(finite, grid)
+    assert rep.num_points == len(finite) + len(bad)
+    assert rep.num_in_annulus == ref.num_in_annulus == np.sum((radii >= 0.1) & (radii <= 10.0))
+    assert rep.hit_count == ref.hit_count > 0
+    np.testing.assert_array_equal(rep.hits, ref.hits)
 
 
 def test_monotone_family_never_contracts():
@@ -453,9 +478,8 @@ def test_reach_search_survives_overflowing_schedules():
     # exp(t diag(800, -800)) overflows for t > 0.89: such schedules count as
     # infinitely far instead of ending the search or its replay
     stiff = bilinear_system((np.diag([800.0, -800.0]), [[0.0, -1.0], [1.0, 0.0]]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = approx_reach_test(stiff, [1.0, 0.0], [0.0, 2.0], eps=1e-2,
-                                budget=2000, seed=0)
+    res = approx_reach_test(stiff, [1.0, 0.0], [0.0, 2.0], eps=1e-2,
+                            budget=2000, seed=0)
     assert np.all(np.isfinite(res.endpoint))
     assert res.distance == pytest.approx(np.linalg.norm(res.endpoint - [0.0, 2.0]))
     assert res.hit == (res.witness is not None) == (res.distance <= 1e-2)
