@@ -13,7 +13,6 @@ from .analysis import (
     Verdict,
     angular_accessibility,
     decide_controllability,
-    larc_at,
     min_rank_search,
     monotone_norm_certificate,
     orbit_dimension_profile,
@@ -28,7 +27,6 @@ from .foliation import (
     arc_family,
     first_return,
     first_return_constancy,
-    leaf_line_field,
     orbit_tangent_distribution,
     planar_section,
     radial_graph_distribution,
@@ -43,7 +41,6 @@ from .model import (
     bilinear_system,
     builtin_corpus,
     parse_system,
-    project_sphere,
     random_system,
     serialize_system,
     smooth_system,
@@ -57,8 +54,6 @@ from .reach import (
     coverage,
     sample_attainable,
     simulate,
-    simulate_bilinear,
-    simulate_smooth,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

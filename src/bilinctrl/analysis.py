@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlie import DEFAULT_TOL, LieBasis, evaluate_at, frobenius_normalize, \
-    lie_closure, numerical_rank
+from .matlie import DEFAULT_TOL, LieBasis, check_point, evaluate_at, \
+    frobenius_normalize, lie_closure, numerical_rank
 from .model import MatrixFamily, SystemSpec
 from .reach import CoverageGrid, CoverageReport, coverage, sample_attainable
 
@@ -88,12 +88,6 @@ class AnalysisBudgets:
 
 
 @dataclass(frozen=True, eq=False)
-class LarcResult:
-    holds: bool
-    dim: int
-
-
-@dataclass(frozen=True, eq=False)
 class MinRankResult:
     min_sigma: float
     argmin: np.ndarray
@@ -124,20 +118,11 @@ def _unit_samples(n: int, count: int, seed: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def larc_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
-            basis: LieBasis | None = None) -> LarcResult:
-    """Does the evaluated Lie closure span all of R^n at x?"""
-    basis = _closure(spec, tol, basis)
-    report = evaluate_at(basis, x, tol=tol)
-    return LarcResult(holds=report.dim == spec.n, dim=report.dim)
-
-
 def transversality_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
                       basis: LieBasis | None = None) -> bool:
-    """Does the evaluated closure plus the radial line span R^n at x?"""
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) == 0.0:
-        raise ValueError("x must be nonzero")
+    """Does the evaluated closure plus the radial line span R^n at x, a
+    finite nonzero point?"""
+    x = check_point(x, spec.n)
     basis = _closure(spec, tol, basis)
     cols = np.column_stack([basis.stacked_at(x), x])
     return bool(numerical_rank(np.linalg.svd(cols, compute_uv=False), tol) == spec.n)

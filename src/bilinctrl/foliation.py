@@ -3,7 +3,8 @@
 A radial distribution assigns to every nonzero point a hyperplane (the leaf
 tangent) transversal to the ray through the point.  Slicing by the plane
 spanned by the pole p = e_n and a horizontal unit direction theta gives an
-oriented line field whose integral curve from p winds around the origin.
+oriented line field whose integral curve from p winds around the origin;
+first_return reports its unit directions along the curve as arc_velocities.
 Transversality makes the curve's angle phi around the origin strictly
 increasing, so the curve is the graph phi -> log r(phi), and its first
 return to the opposite ray is its value at phi = pi: there is no crossing to
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlie import DEFAULT_TOL, LieBasis, lie_closure, numerical_rank
+from .matlie import DEFAULT_TOL, LieBasis, check_point, lie_closure, numerical_rank
 from .model import SystemSpec
 from .reach import integrate_table, spread_directions
 
@@ -228,39 +229,24 @@ def _points_and_velocities(distr: RadialDistribution, states: np.ndarray):
     return x, scale * (n_r[:, None] * e_phi - n_phi[:, None] * e_r)
 
 
-def _plane_coords(section: PlanarSection, x, name: str) -> tuple[float, float]:
-    """The plane coordinates (a, b) of x; raises ValueError when x lies off
-    the plane by more than 1e-9 max(1, |x|)."""
-    x = np.asarray(x, dtype=float)
+def _plane_coords(section: PlanarSection, x) -> tuple[float, float]:
+    """The plane coordinates (a, b) of a start point x; raises ValueError
+    unless x is a finite nonzero point within 1e-9 max(1, |x|) of the plane."""
+    x = check_point(x, section.n, "start point")
     a, b = section.to_plane(x)
     if np.linalg.norm(x - section.to_ambient(a, b)) > 1e-9 * max(1.0, np.linalg.norm(x)):
-        raise ValueError(f"{name} does not lie in the section plane")
+        raise ValueError("start point does not lie in the section plane")
     return a, b
-
-
-def leaf_line_field(distr: RadialDistribution, section: PlanarSection, x) -> np.ndarray:
-    """Oriented unit vector spanning (leaf tangent at x) in the section plane.
-
-    The orientation makes the angle around the origin increase: at the pole
-    the vector points toward +theta.  x must lie in the plane; raises
-    TransversalityError when the leaf tangent turns radial there.
-    """
-    x = np.asarray(x, dtype=float)
-    a, b = _plane_coords(section, x, "x")
-    if a == 0.0 and b == 0.0:
-        raise ValueError("x must be nonzero")
-    state = np.concatenate([[np.log(np.hypot(a, b)), np.arctan2(b, a), 0.0],
-                            section.theta])
-    v = _points_and_velocities(distr, state[None, :])[1][0]
-    if not np.isfinite(v).all():
-        raise TransversalityError(
-            f"leaf tangent is radial or undefined at {x.tolist()}")
-    return v
 
 
 @dataclass(frozen=True, eq=False)
 class FirstReturnResult:
-    """First crossing of the opposite ray, with the arc that led there."""
+    """First crossing of the opposite ray, with the arc that led there.
+
+    arc_velocities are the oriented leaf-line field at the arc points: unit
+    vectors along the leaf in the section plane, turned so that the angle
+    around the origin increases (toward +theta at the pole).
+    """
 
     p_return: np.ndarray
     radius: float
@@ -268,8 +254,7 @@ class FirstReturnResult:
     arc_length: float
     arc_t: np.ndarray          # normalized arc parameter in [0, 1]
     arc_points: np.ndarray     # (k, n) ambient points from start to return
-    arc_velocities: np.ndarray  # unit leaf-line directions at the arc points
-    section: PlanarSection
+    arc_velocities: np.ndarray  # (k, n) unit leaf-line directions at the arc points
 
 
 def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
@@ -291,7 +276,7 @@ def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
         distr, states.reshape(-1, states.shape[2])))
     arcs = states[:, :, 2]
     out = []
-    for k, sec in enumerate(sections):
+    for k in range(rows):
         if not np.isfinite(states[k]).all():
             out.append(TransversalityError(
                 "leaf normal turned radial or undefined along the arc"))
@@ -303,7 +288,7 @@ def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
                 p_return=points[k, -1], radius=float(np.exp(states[k, -1, 0])),
                 winding=float(states[k, -1, 1] - phi0), arc_length=float(arcs[k, -1]),
                 arc_t=arcs[k] / arcs[k, -1], arc_points=points[k],
-                arc_velocities=velocities[k], section=sec))
+                arc_velocities=velocities[k]))
     return out
 
 
@@ -321,7 +306,7 @@ def first_return(distr: RadialDistribution, section: PlanarSection, start=None,
     if start is None:
         u = np.array([1.0, 0.0])
     else:
-        u = np.array(_plane_coords(section, start, "start point"))
+        u = np.array(_plane_coords(section, start))
     if u[0] <= 0.0:
         raise ValueError("start point must lie on the positive pole ray side")
     if arc_budget is None:

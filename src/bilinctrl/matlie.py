@@ -26,6 +26,17 @@ def _as_square(a, name="matrix") -> np.ndarray:
     return a
 
 
+def check_point(x, n: int, name: str = "x") -> np.ndarray:
+    """x as a float vector; raises ValueError unless it is a finite nonzero
+    vector of length n, the points every evaluation and flow starts from."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must be a vector of length {n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)) or not np.any(x):
+        raise ValueError(f"{name} must be finite and nonzero")
+    return x
+
+
 def frobenius_normalize(a) -> tuple[np.ndarray, float]:
     """(a / |a|_F, |a|_F), dividing by the largest |entry| first so that
     neither overflows needlessly; a zero matrix is returned as is."""
@@ -163,11 +174,7 @@ def evaluate_at(basis: LieBasis, x, tol: float | None = None) -> SubspaceReport:
     The rank follows numerical_rank; ``tol`` defaults to the tolerance the
     basis was built with.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (basis.n,):
-        raise ValueError(f"x must be a vector of length {basis.n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)) or np.linalg.norm(x) == 0.0:
-        raise ValueError("x must be a finite nonzero vector")
+    x = check_point(x, basis.n)
     if tol is None:
         tol = basis.tol
     cols = basis.stacked_at(x)

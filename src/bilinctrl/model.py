@@ -1,9 +1,11 @@
 """System definitions: matrix families, smooth field families, builtins, I/O.
 
-A system is either bilinear (a finite list of square matrices, each acting as
-the linear field x -> Mx) or smooth (a finite list of evaluable vector
-fields).  Smooth fields must accept arrays of shape (..., n) and return the
-same shape; all builtins follow that convention.
+A system is either bilinear (a finite list of square matrices
+``spec.family.matrices``, each acting as the linear field x -> Mx) or smooth
+(a finite list of evaluable vector fields ``spec.fields``).  Smooth fields
+must accept arrays of shape (..., n) and return the same shape; all builtins
+follow that convention, so field k of a smooth system is evaluated at points
+x as ``spec.fields[k](x)``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-UNIT_NORM_SLACK = 1e-9
 
 BUILTIN_NAMES = ("so3", "planar_jd", "expanding_pair", "identity_only", "example1")
 
@@ -91,15 +91,6 @@ class SystemSpec:
     def num_fields(self) -> int:
         return len(self.family) if self.is_bilinear else len(self.fields)
 
-    def field_value(self, index: int, x) -> np.ndarray:
-        """Evaluate field ``index`` at a point (or array of points)."""
-        if not 0 <= index < self.num_fields:
-            raise ValueError(f"field index {index} out of range [0, {self.num_fields})")
-        x = np.asarray(x, dtype=float)
-        if self.is_bilinear:
-            return x @ self.family.matrices[index].T
-        return np.asarray(self.fields[index](x), dtype=float)
-
 
 @dataclass(frozen=True)
 class ControlSchedule:
@@ -128,10 +119,6 @@ class ControlSchedule:
         object.__setattr__(self, "segments", tuple(segs))
 
     @property
-    def total_time(self) -> float:
-        return sum(abs(d) for _, d in self.segments)
-
-    @property
     def max_index(self) -> int:
         return max((i for i, _ in self.segments), default=-1)
 
@@ -149,22 +136,6 @@ def smooth_system(n: int, fields, name: str = "") -> SystemSpec:
     arrays of the same shape, finite on finite nonzero inputs.
     """
     return SystemSpec(n=n, name=name, fields=tuple(fields))
-
-
-def project_sphere(m, x) -> np.ndarray:
-    """Push the linear field x -> Mx through the radial projection.
-
-    For unit x returns Mx - <x, Mx> x, the component of Mx tangent to the
-    unit sphere at x.
-    """
-    m = np.asarray(m, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != x.shape[0]:
-        raise ValueError(f"incompatible shapes: matrix {m.shape}, vector {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > UNIT_NORM_SLACK:
-        raise ValueError("x must be a unit vector")
-    v = m @ x
-    return v - np.dot(x, v) * x
 
 
 # --- built-in corpus -------------------------------------------------------

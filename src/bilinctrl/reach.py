@@ -1,7 +1,8 @@
 """Exact piecewise-constant simulation, attainable-set sampling, coverage.
 
 Schedules run as tables, one row per schedule, through one runner in
-simulation (a one-row table), sampling and reach search alike: bilinear rows
+simulation (``simulate``: a one-row table, bilinear or smooth, recording
+each segment's end), sampling and reach search alike: bilinear rows
 are products of flows exp(t M_k) x, one batched flow per generator (cached
 eigenfactors, or matlie's batched Padé exponential for a defective
 generator), built when a table first uses it; smooth rows go through one
@@ -9,7 +10,8 @@ batched Fehlberg integrator.  Attainable-set clouds are produced by a seeded
 random-schedule sampler whose per-schedule randomness is a pure function of
 (seed, schedule index), so any execution order yields the same cloud.
 Coverage is measured on angular cells (equal-area for n <= 3) crossed with
-log-radial bins over an annulus.
+log-radial bins over an annulus; the cell of -u is always the antipodal
+partner of the cell of u.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlie import exponential_map
-from .model import ControlSchedule, MatrixFamily, SystemSpec
+from .matlie import check_point, exponential_map
+from .model import ControlSchedule, SystemSpec
 
 DEGENERATE_NORM = 1e-300
 BLOWUP_NORM = 1e12
@@ -29,7 +31,8 @@ _DESCENT_BATCH = 32  # reach-search candidates run as one table
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States along a schedule; times[0] = 0 and states[0] = x0.
+    """States at the ends of a schedule's segments; times[0] = 0 and
+    states[0] = x0.
 
     status is "ok", "degenerate" (norm below DEGENERATE_NORM; the trajectory
     is truncated there) or, for smooth systems only, "blowup" (norm exceeded
@@ -38,21 +41,11 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    schedule: ControlSchedule
     status: str = "ok"
 
     @property
     def endpoint(self) -> np.ndarray:
         return self.states[-1]
-
-
-def _check_x0(x0, n, name="x0") -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"{name} must be a vector of length {n}")
-    if not np.all(np.isfinite(x0)) or not np.any(x0):
-        raise ValueError(f"{name} must be finite and nonzero")
-    return x0
 
 
 # --- smooth fields: one batched Fehlberg 4(5) integrator --------------------
@@ -209,11 +202,9 @@ def _runner(spec):
     return run
 
 
-def simulate(spec: SystemSpec, schedule: ControlSchedule, x0,
-             record_dt: float | None = None) -> Trajectory:
+def simulate(spec: SystemSpec, schedule: ControlSchedule, x0) -> Trajectory:
     """Run x0 along the schedule as a one-row table, recording each
-    segment's end, or with record_dt the ends of ceil(|dur| / record_dt)
-    equal pieces of it.
+    segment's end.
 
     Stops with status "degenerate" at the first recorded state whose norm
     is below DEGENERATE_NORM, and for a smooth system with status "blowup"
@@ -221,20 +212,14 @@ def simulate(spec: SystemSpec, schedule: ControlSchedule, x0,
     OverflowError once the state is no longer finite: a bilinear flow
     overflowed, or a smooth step stalled (a field turned non-finite).
     """
-    x0 = _check_x0(x0, spec.n)
+    x0 = check_point(x0, spec.n, "x0")
     if schedule.max_index >= spec.num_fields:
         raise ValueError(f"schedule uses field index {schedule.max_index}, "
                          f"but the system has {spec.num_fields} fields")
-    if record_dt is not None and not record_dt > 0:
-        raise ValueError("record_dt must be positive")
-    times, idx, durs = [0.0], [], []
-    for i, dur in schedule.segments:
-        steps = 1 if record_dt is None or dur == 0.0 else int(np.ceil(abs(dur) / record_dt))
-        times.extend(times[-1] + (dur / steps) * np.arange(1, steps + 1))
-        idx += [i] * steps
-        durs += [dur / steps] * steps
-    bounds, stop, left = _runner(spec)(
-        x0[None, :], np.array([idx], dtype=int), np.array([durs], dtype=float))
+    idx = np.array([i for i, _ in schedule.segments], dtype=int)
+    durs = np.array([d for _, d in schedule.segments], dtype=float)
+    times = np.concatenate([[0.0], np.cumsum(durs)])
+    bounds, stop, left = _runner(spec)(x0[None, :], idx[None, :], durs[None, :])
     states = np.vstack([x0, bounds[0]])
     status, last = "ok", len(durs)
     if stop[0] < last:
@@ -248,21 +233,7 @@ def simulate(spec: SystemSpec, schedule: ControlSchedule, x0,
         status, last = "degenerate", low[0] + 1
     if not np.isfinite(states[:last + 1]).all():
         raise OverflowError("the flow overflowed or stalled to a non-finite state")
-    return Trajectory(np.array(times[:last + 1]), states[:last + 1], schedule, status)
-
-
-def simulate_bilinear(family: MatrixFamily, schedule: ControlSchedule, x0,
-                      record_dt: float | None = None) -> Trajectory:
-    """simulate for x' = M_k x: x0 flows through exp(t_k M_k) ... exp(t_1 M_1)."""
-    return simulate(SystemSpec(family.n, family=family), schedule, x0, record_dt)
-
-
-def simulate_smooth(spec: SystemSpec, schedule: ControlSchedule, x0,
-                    record_dt: float | None = None) -> Trajectory:
-    """simulate for a smooth system."""
-    if spec.is_bilinear:
-        raise ValueError("simulate_smooth expects a smooth system")
-    return simulate(spec, schedule, x0, record_dt)
+    return Trajectory(times[:last + 1], states[:last + 1], status)
 
 
 # --- random schedule tables -------------------------------------------------
@@ -305,7 +276,7 @@ def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
     attainable.  With boundaries=False only the final endpoints are returned
     (exactly ``budget`` points).  Deterministic for a fixed seed.
     """
-    x0 = _check_x0(x0, spec.n)
+    x0 = check_point(x0, spec.n, "x0")
     _, indices, durations = _schedule_tables(
         spec.num_fields, budget, seed, max_segments, duration_scale)
     bounds, _, _ = _runner(spec)(np.broadcast_to(x0, (budget, x0.size)), indices, durations)
@@ -335,11 +306,14 @@ class CoverageGrid:
     of equal height split into sectors for n = 3.  For n > 3 it is the
     nearest-center partition of a seeded spread point set, whose cells do
     not have equal area.  Cell counts are adjusted so the partition is
-    exactly symmetric under x -> -x, and cells are numbered so that the
-    antipode of angular cell i is cell (i + num_angular // 2) % num_angular:
-    for n = 3 the cells of azimuth in [0, pi) come first, band b and sector
-    s < S/2 as b S/2 + s, and the far half in reverse band order.  The
-    antipodal (projective) quotient cell of i is then i % (num_angular // 2).
+    symmetric under x -> -x, and cells are numbered so that the antipode of
+    angular cell i is cell (i + num_angular // 2) % num_angular: for n = 3
+    the cells of azimuth in [0, pi) come first, band b and sector s < S/2 as
+    b S/2 + s, and the far half in reverse band order.  The pairing is exact
+    on cell edges too: of u and -u, the one whose first nonzero coordinate
+    in the order x_1, x_0, x_2, ..., x_(n-1) is positive is binned, and the
+    other gets the partner of its cell.  The antipodal (projective) quotient
+    cell of i is then i % (num_angular // 2).
     """
 
     def __init__(self, n: int, angular_cells: int = 32, radial_bins: int = 16,
@@ -380,26 +354,37 @@ class CoverageGrid:
         return ang * self.radial_bins
 
     def angular_index(self, units: np.ndarray) -> np.ndarray:
-        """Angular cell of each unit row vector."""
+        """Angular cell of each nonzero unit row vector."""
         units = np.atleast_2d(units)
+        # of u and -u, bin the one c = sign u whose first nonzero coordinate
+        # in the order x_1, x_0, x_2, ... is positive; the other gets the
+        # partner cell
+        order = [1, 0, *range(2, self.n)] if self.n > 1 else [0]
+        flip = units[:, order[0]] < 0.0
+        rest = np.flatnonzero(units[:, order[0]] == 0.0)
+        for k in order[1:]:
+            flip[rest] = units[rest, k] < 0.0
+            rest = rest[units[rest, k] == 0.0]
+        sign = np.where(flip, -1.0, 1.0)
         if self.n == 1:
-            return np.where(units[:, 0] > 0, 0, 1)
-        if self.n == 2:
-            ang = np.mod(np.arctan2(units[:, 1], units[:, 0]), 2.0 * np.pi)
-            return np.minimum((ang / (2.0 * np.pi / self.num_angular)).astype(int),
-                              self.num_angular - 1)
-        if self.n == 3:
-            z = np.clip(units[:, 2], -1.0, 1.0)
+            idx = np.zeros(len(units), dtype=int)
+        elif self.n == 2:
+            # + 0.0 turns -0.0 into 0.0, so the azimuth of c lies in [0, pi]
+            az = np.arctan2(sign * units[:, 1] + 0.0, sign * units[:, 0])
+            idx = np.minimum((az / (2.0 * np.pi / self.num_angular)).astype(int),
+                             self.num_angular // 2 - 1)
+        elif self.n == 3:
+            z = np.clip(sign * units[:, 2], -1.0, 1.0)
             band = np.minimum(((z + 1.0) / 2.0 * self._bands).astype(int),
                               self._bands - 1)
-            az = np.mod(np.arctan2(units[:, 1], units[:, 0]), 2.0 * np.pi)
-            sector = np.minimum((az / (2.0 * np.pi / self._sectors)).astype(int),
-                                self._sectors - 1)
+            az = np.arctan2(sign * units[:, 1] + 0.0, sign * units[:, 0])
             half = self._sectors // 2
-            return np.where(sector < half, band * half + sector,
-                            self.num_angular // 2 + (self._bands - 1 - band) * half
-                            + sector - half)
-        return np.argmax(units @ self._centers.T, axis=1)
+            sector = np.minimum((az / (2.0 * np.pi / self._sectors)).astype(int),
+                                half - 1)
+            idx = band * half + sector
+        else:
+            idx = np.argmax((units * sign[:, None]) @ self._centers.T, axis=1)
+        return np.where(flip, self.antipodal_partner(idx), idx)
 
     def antipodal_partner(self, idx: np.ndarray) -> np.ndarray:
         """Angular cell containing the antipode of each cell (exact)."""
@@ -529,8 +514,8 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     A returned witness is replay-verified: its one-row run lands within eps
     of the target.
     """
-    x0 = _check_x0(x0, spec.n)
-    target = _check_x0(target, spec.n, "target")
+    x0 = check_point(x0, spec.n, "x0")
+    target = check_point(target, spec.n, "target")
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     if budget < 1:

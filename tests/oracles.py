@@ -5,8 +5,10 @@ oracle works in exact rational arithmetic with Gaussian elimination, the
 grid oracle scans the unit circle densely, the flow oracle multiplies plain
 scipy matrix exponentials, the smooth-flow oracle runs scipy's DOP853 at a
 tight tolerance, the tangent-rank oracle pushes the closure to the sphere
-instead of appending the radial line, and the reach-search oracle runs the
-descent one candidate per ``simulate`` call instead of in batched tables.
+with its own ``project_sphere`` instead of appending the radial line, and
+the reach-search oracle runs the descent one candidate per ``simulate``
+call instead of in batched tables.  ``split_segments`` cuts a schedule into
+equal pieces, so that ``simulate`` records states inside its segments.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from bilinctrl.model import ControlSchedule, project_sphere
+from bilinctrl.model import ControlSchedule
 from bilinctrl.reach import (
     _mutate_schedule,
     _schedule_from_row,
@@ -112,6 +114,25 @@ def expm_product(matrices, segments, x0):
     return x
 
 
+UNIT_NORM_SLACK = 1e-9
+
+
+def project_sphere(m, x):
+    """Push the linear field x -> Mx through the radial projection.
+
+    For unit x returns Mx - <x, Mx> x, the component of Mx tangent to the
+    unit sphere at x.
+    """
+    m = np.asarray(m, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != x.shape[0]:
+        raise ValueError(f"incompatible shapes: matrix {m.shape}, vector {x.shape}")
+    if abs(np.linalg.norm(x) - 1.0) > UNIT_NORM_SLACK:
+        raise ValueError("x must be a unit vector")
+    v = m @ x
+    return v - np.dot(x, v) * x
+
+
 def projected_tangent_rank(basis, x, tol=1e-9):
     """Rank of the closure pushed to the sphere tangent space at x/|x|.
 
@@ -127,6 +148,16 @@ def projected_tangent_rank(basis, x, tol=1e-9):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def split_segments(segments, dt):
+    """The (index, duration) segments, each cut into ceil(|duration| / dt)
+    equal pieces (a zero duration stays one piece)."""
+    pieces = []
+    for idx, dur in segments:
+        steps = 1 if dur == 0.0 else int(np.ceil(abs(dur) / dt))
+        pieces += [(idx, dur / steps)] * steps
+    return tuple(pieces)
 
 
 def smooth_endpoint(fields, segments, x0, blowup_norm):

@@ -31,11 +31,9 @@ from bilinctrl.reach import (
     coverage,
     sample_attainable,
     simulate,
-    simulate_bilinear,
-    simulate_smooth,
 )
 
-from oracles import exact_closure_dim, projected_tangent_rank
+from oracles import exact_closure_dim, projected_tangent_rank, split_segments
 
 E12 = [[0, 1], [0, 0]]
 E21 = [[0, 0], [1, 0]]
@@ -131,7 +129,7 @@ def test_criterion_4_empirical_controllability_planar():
 
         # hand-built schedule: stretch to (2, 0), quarter turn to (0, 2)
         hand = ControlSchedule(((1, np.log(2.0)), (0, np.pi / 2)))
-        endpoint = simulate_bilinear(pj.family, hand, [1.0, 0.0]).endpoint
+        endpoint = simulate(pj, hand, [1.0, 0.0]).endpoint
         assert np.linalg.norm(endpoint - [0.0, 2.0]) <= 1e-10
 
 
@@ -199,7 +197,7 @@ def test_criterion_7_gated_planar_family_behavior():
 
         for idx in (2, 3):
             for start in ([0.0, -1.0], [0.0, -0.25]):
-                traj = simulate_smooth(ex1, ControlSchedule(((idx, 5.0),)), start)
+                traj = simulate(ex1, ControlSchedule(((idx, 5.0),)), start)
                 assert np.linalg.norm(traj.endpoint - start) <= 1e-8
 
         upper = sample_attainable(ex1, [0.0, 1.0], 10000, seed=0)
@@ -227,7 +225,7 @@ def test_criterion_8_simulation_exactness():
                 segs.append((idx, t))
                 closed = (rotation(t) if idx == 0 else stretch(t)) @ closed
             x0 = rng.standard_normal(2)
-            got = simulate_bilinear(pj.family, ControlSchedule(tuple(segs)), x0)
+            got = simulate(pj, ControlSchedule(tuple(segs)), x0)
             expect = closed @ x0
             assert np.linalg.norm(got.endpoint - expect) \
                 <= 1e-12 * max(1.0, np.linalg.norm(expect))
@@ -238,7 +236,7 @@ def test_criterion_8_simulation_exactness():
             durations = rng.uniform(0.0, 1.0, size=20)
             durations *= 100.0 / durations.sum()
             segs = tuple((int(rng.integers(0, 3)), float(t)) for t in durations)
-            traj = simulate_bilinear(so3.family, ControlSchedule(segs),
-                                     [1.0, 0.0, 0.0], record_dt=1.0)
+            traj = simulate(so3, ControlSchedule(split_segments(segs, 1.0)),
+                            [1.0, 0.0, 0.0])
             norms = np.linalg.norm(traj.states, axis=1)
             assert np.max(np.abs(norms - 1.0)) <= 1e-9

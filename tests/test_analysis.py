@@ -7,17 +7,16 @@ from bilinctrl.analysis import (
     MonotoneNorm,
     angular_accessibility,
     decide_controllability,
-    larc_at,
     min_rank_search,
     monotone_norm_certificate,
     orbit_dimension_profile,
     transversality_at,
 )
-from bilinctrl.matlie import lie_closure
+from bilinctrl.matlie import evaluate_at, lie_closure
 from bilinctrl.model import ControlSchedule, bilinear_system, builtin_corpus, random_system
-from bilinctrl.reach import simulate_bilinear
+from bilinctrl.reach import simulate
 
-from oracles import circle_min_sigma, projected_tangent_rank
+from oracles import circle_min_sigma, projected_tangent_rank, split_segments
 
 SO3 = builtin_corpus("so3")
 PJ = builtin_corpus("planar_jd")
@@ -26,18 +25,24 @@ IO = builtin_corpus("identity_only")
 
 
 def test_larc_examples():
-    res = larc_at(SO3, [0.0, 0.0, 1.0])
-    assert not res.holds and res.dim == 2
-    res = larc_at(PJ, [1.0, 0.0])
-    assert res.holds and res.dim == 2
-    res = larc_at(IO, [0.4, -0.8])
-    assert not res.holds and res.dim == 1
+    # the rank condition holds at x when the evaluated closure has dim n there
+    assert evaluate_at(lie_closure(SO3.family.matrices), [0.0, 0.0, 1.0]).dim == 2
+    assert evaluate_at(lie_closure(PJ.family.matrices), [1.0, 0.0]).dim == 2
+    assert evaluate_at(lie_closure(IO.family.matrices), [0.4, -0.8]).dim == 1
 
 
 def test_transversality_examples():
     assert transversality_at(SO3, [1.0, 0.0, 0.0])
     assert not transversality_at(IO, [1.0, 1.0])
     assert transversality_at(PJ, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0], [1.0, 0.0, 0.0]],
+                         ids=["nan", "inf", "zero", "length"])
+def test_transversality_refuses_bad_points(x):
+    # NaN and inf used to reach the SVD, which raised LinAlgError
+    with pytest.raises(ValueError, match="x must be"):
+        transversality_at(PJ, x)
 
 
 def test_transversality_agrees_with_projected_rank():
@@ -153,12 +158,11 @@ def test_sphere_scans_refuse_no_samples(stage):
 
 
 @pytest.mark.parametrize("stage", [
-    lambda spec, basis: larc_at(spec, [1.0, 0.0], basis=basis),
     lambda spec, basis: transversality_at(spec, [1.0, 0.0], basis=basis),
     lambda spec, basis: min_rank_search(spec, basis=basis),
     lambda spec, basis: angular_accessibility(spec, samples=10, basis=basis),
     lambda spec, basis: orbit_dimension_profile(spec, samples=10, basis=basis),
-], ids=["larc_at", "transversality_at", "min_rank_search", "angular_accessibility",
+], ids=["transversality_at", "min_rank_search", "angular_accessibility",
         "orbit_dimension_profile"])
 @pytest.mark.parametrize("given_basis", [False, True])
 def test_rank_stages_refuse_smooth_systems(stage, given_basis):
@@ -202,8 +206,7 @@ def test_monotone_norm_soundness_on_trajectories():
     for _ in range(20):
         segs = tuple((int(rng.integers(0, 2)), float(rng.uniform(0, 2)))
                      for _ in range(6))
-        traj = simulate_bilinear(EP.family, ControlSchedule(segs), [1.0, 0.0],
-                                 record_dt=0.2)
+        traj = simulate(EP, ControlSchedule(split_segments(segs, 0.2)), [1.0, 0.0])
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.all(np.diff(norms) >= -1e-9 * norms[:-1])
 

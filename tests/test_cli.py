@@ -1,10 +1,12 @@
 import json
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bilinctrl
 from bilinctrl.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_UNDETERMINED, \
     FOLIATION_EXAMPLES, build_parser, main
 from bilinctrl.model import builtin_corpus, parse_system
@@ -393,3 +395,25 @@ def test_readme_library_block_runs(capsys):
     exec(compile(_readme_block("Library", "python"), "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and lines[0].startswith("controllable ")
+
+
+def test_public_surface_is_pinned():
+    # every exported name is read by the library, the CLI, the README or the
+    # benchmark; a test-only helper must not be re-exported unnoticed
+    exported = {name for name in bilinctrl.__all__
+                if not isinstance(getattr(bilinctrl, name), types.ModuleType)}
+    assert exported == {
+        "AnalysisBudgets", "ArcFamily", "BUILTIN_NAMES", "ControlSchedule",
+        "CoverageGrid", "CoverageReport", "FirstReturnResult", "FoliationError",
+        "LarcFailure", "LieBasis", "MatrixFamily", "MonotoneNorm", "PlanarSection",
+        "RadialDistribution", "ReachTestResult", "SystemSpec", "Trajectory",
+        "Verdict", "angular_accessibility", "approx_reach_test", "arc_family",
+        "bilinear_system", "bracket", "builtin_corpus", "coverage",
+        "decide_controllability", "evaluate_at", "first_return",
+        "first_return_constancy", "lie_closure", "matrix_exponential",
+        "min_rank_search", "monotone_norm_certificate", "orbit_dimension_profile",
+        "orbit_tangent_distribution", "parse_system", "planar_section",
+        "radial_graph_distribution", "random_system", "sample_attainable",
+        "serialize_system", "simulate", "smooth_system", "sphere_distribution",
+        "transversality_at",
+    }

@@ -10,7 +10,6 @@ from bilinctrl.foliation import (
     arc_family,
     first_return,
     first_return_constancy,
-    leaf_line_field,
     orbit_tangent_distribution,
     planar_section,
     radial_graph_distribution,
@@ -23,38 +22,37 @@ THETA = np.array([1.0, 0.0, 0.0])
 
 
 def test_leaf_line_field_orientation_at_pole():
-    sec = planar_section(THETA)
-    v = leaf_line_field(sphere_distribution(3), sec, POLE)
-    np.testing.assert_allclose(v, THETA, atol=1e-14)
+    res = first_return(sphere_distribution(3), planar_section(THETA))
+    np.testing.assert_allclose(res.arc_velocities[0], THETA, atol=1e-14)
 
 
 def test_leaf_line_field_continues_downward():
-    sec = planar_section(THETA)
-    v = leaf_line_field(sphere_distribution(3), sec, THETA)
-    np.testing.assert_allclose(v, -POLE, atol=1e-14)
+    # the arc point after half of the RETURN_PIECES angle pieces is THETA
+    res = first_return(sphere_distribution(3), planar_section(THETA))
+    np.testing.assert_allclose(res.arc_points[32], THETA, atol=1e-14)
+    np.testing.assert_allclose(res.arc_velocities[32], -POLE, atol=1e-14)
 
 
 def test_flat_slope_reduces_to_sphere():
     sec = planar_section(THETA)
-    flat = radial_graph_distribution(3, slope=0.0)
-    sphere = sphere_distribution(3)
-    for x in (POLE, THETA, np.array([0.3, 0.0, 0.8])):
-        np.testing.assert_allclose(leaf_line_field(flat, sec, x),
-                                   leaf_line_field(sphere, sec, x), atol=1e-12)
+    flat = first_return(radial_graph_distribution(3, slope=0.0), sec)
+    sphere = first_return(sphere_distribution(3), sec)
+    np.testing.assert_allclose(flat.arc_points, sphere.arc_points, atol=1e-12)
+    np.testing.assert_allclose(flat.arc_velocities, sphere.arc_velocities, atol=1e-12)
 
 
 def test_leaf_line_field_requires_plane_point():
     sec = planar_section(THETA)
-    with pytest.raises(ValueError):
-        leaf_line_field(sphere_distribution(3), sec, np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="section plane"):
+        first_return(sphere_distribution(3), sec, start=np.array([0.0, 1.0, 0.0]))
 
 
-def test_transversality_violation_detected():
-    # horizontal planes are not transversal to rays on the equator
-    horizontal = RadialDistribution(3, lambda x: np.array([0.0, 0.0, 1.0]))
-    sec = planar_section(THETA)
-    with pytest.raises(TransversalityError):
-        leaf_line_field(horizontal, sec, THETA)
+@pytest.mark.parametrize("start", [[np.nan, 0.0, 1.0], [0.0, np.nan, 1.0],
+                                   [np.inf, 0.0, 1.0]])
+def test_first_return_refuses_nonfinite_start(start, deadline):
+    # a NaN or inf start used to be integrated without end
+    with deadline(20), pytest.raises(ValueError, match="finite"):
+        first_return(sphere_distribution(3), planar_section(THETA), start=start)
 
 
 def test_sphere_first_return():
@@ -87,10 +85,9 @@ def test_first_return_scaling():
 
 def test_first_return_accepts_far_plane_start():
     # e3 + 1e8 theta lies in the plane up to rounding of 1.5e-8, far below
-    # 1e-9 |x|; first_return and leaf_line_field share that tolerance
+    # 1e-9 |x|
     sec = planar_section(np.array([np.cos(0.3), np.sin(0.3), 0.0]))
     start = POLE + 1e8 * sec.theta
-    leaf_line_field(sphere_distribution(3), sec, start)
     res = first_return(sphere_distribution(3), sec, start)
     assert abs(res.radius - np.linalg.norm(start)) <= 1e-12 * np.linalg.norm(start)
 

@@ -3,7 +3,6 @@ import pytest
 
 from bilinctrl.model import (
     ControlSchedule,
-    MatrixFamily,
     bilinear_system,
     builtin_corpus,
     smooth_system,
@@ -16,13 +15,11 @@ from bilinctrl.reach import (
     coverage,
     sample_attainable,
     simulate,
-    simulate_bilinear,
-    simulate_smooth,
     _schedule_from_row,
     _schedule_tables,
 )
 
-from oracles import expm_product, serial_reach_search, smooth_endpoint
+from oracles import expm_product, serial_reach_search, smooth_endpoint, split_segments
 
 PJ = builtin_corpus("planar_jd")
 SO3 = builtin_corpus("so3")
@@ -30,24 +27,24 @@ EX1 = builtin_corpus("example1")
 
 
 def test_simulate_quarter_rotation():
-    traj = simulate_bilinear(PJ.family, ControlSchedule(((0, np.pi / 2),)), [1.0, 0.0])
+    traj = simulate(PJ, ControlSchedule(((0, np.pi / 2),)), [1.0, 0.0])
     np.testing.assert_allclose(traj.endpoint, [0.0, 1.0], atol=1e-14)
     assert traj.times[0] == 0.0 and traj.status == "ok"
 
 
 def test_simulate_empty_schedule():
-    traj = simulate_bilinear(PJ.family, ControlSchedule(()), [0.3, 0.4])
+    traj = simulate(PJ, ControlSchedule(()), [0.3, 0.4])
     np.testing.assert_array_equal(traj.endpoint, [0.3, 0.4])
 
 
 def test_simulate_hyperbolic_scaling():
-    traj = simulate_bilinear(PJ.family, ControlSchedule(((1, np.log(2.0)),)), [1.0, 1.0])
+    traj = simulate(PJ, ControlSchedule(((1, np.log(2.0)),)), [1.0, 1.0])
     np.testing.assert_allclose(traj.endpoint, [2.0, 0.5], rtol=1e-14)
 
 
 def test_simulate_rejects_bad_index():
     with pytest.raises(ValueError):
-        simulate_bilinear(PJ.family, ControlSchedule(((7, 1.0),)), [1.0, 0.0])
+        simulate(PJ, ControlSchedule(((7, 1.0),)), [1.0, 0.0])
 
 
 def test_simulate_homogeneity():
@@ -55,8 +52,8 @@ def test_simulate_homogeneity():
     sched = ControlSchedule(((0, 0.7), (1, 0.3), (0, 1.1)))
     x0 = rng.standard_normal(2)
     lam = 3.7
-    a = simulate_bilinear(PJ.family, sched, x0).endpoint
-    b = simulate_bilinear(PJ.family, sched, lam * x0).endpoint
+    a = simulate(PJ, sched, x0).endpoint
+    b = simulate(PJ, sched, lam * x0).endpoint
     assert np.linalg.norm(b - lam * a) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -65,17 +62,15 @@ def test_simulate_concatenation():
     s2 = ControlSchedule(((1, 0.2), (0, 1.3)))
     both = ControlSchedule(s1.segments + s2.segments)
     x0 = np.array([0.5, -1.2])
-    direct = simulate_bilinear(PJ.family, both, x0).endpoint
-    staged = simulate_bilinear(
-        PJ.family, s2, simulate_bilinear(PJ.family, s1, x0).endpoint).endpoint
+    direct = simulate(PJ, both, x0).endpoint
+    staged = simulate(PJ, s2, simulate(PJ, s1, x0).endpoint).endpoint
     assert np.linalg.norm(direct - staged) <= 1e-10 * np.linalg.norm(direct)
 
 
 def test_skew_flows_preserve_norm():
     rng = np.random.default_rng(1)
     segs = tuple((int(rng.integers(0, 3)), float(rng.uniform(0, 10))) for _ in range(20))
-    traj = simulate_bilinear(SO3.family, ControlSchedule(segs), [1.0, 0.0, 0.0],
-                             record_dt=0.5)
+    traj = simulate(SO3, ControlSchedule(split_segments(segs, 0.5)), [1.0, 0.0, 0.0])
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
@@ -84,8 +79,8 @@ def test_orbit_mode_negative_durations():
     fwd = ControlSchedule(((1, 0.8),))
     back = ControlSchedule(((1, -0.8),), attainable_mode=False)
     x0 = np.array([1.0, 2.0])
-    mid = simulate_bilinear(PJ.family, fwd, x0).endpoint
-    again = simulate_bilinear(PJ.family, back, mid).endpoint
+    mid = simulate(PJ, fwd, x0).endpoint
+    again = simulate(PJ, back, mid).endpoint
     np.testing.assert_allclose(again, x0, rtol=1e-12)
 
 
@@ -93,7 +88,6 @@ def test_projection_compatibility():
     # pushing a bilinear trajectory to the sphere matches integrating the
     # projected field directly
     m = SO3.family.matrices[0] + 0.5 * np.diag([1.0, -0.2, 0.4])
-    fam_spec = builtin_corpus("so3")
 
     def projected(pts):
         pts = np.asarray(pts, dtype=float)
@@ -102,36 +96,35 @@ def test_projection_compatibility():
         return v - dots * pts
 
     sphere_spec = smooth_system(3, (projected,), name="projected")
-    sched = ControlSchedule(((0, 2.5),))
+    sched = ControlSchedule(split_segments(((0, 2.5),), 0.25))
     x0 = np.array([0.6, 0.8, 0.0])
-    full = simulate_bilinear(
-        type(fam_spec.family)((m,)), sched, x0, record_dt=0.25)
-    proj = simulate_smooth(sphere_spec, sched, x0, record_dt=0.25)
+    full = simulate(bilinear_system((m,)), sched, x0)
+    proj = simulate(sphere_spec, sched, x0)
     units = full.states / np.linalg.norm(full.states, axis=1, keepdims=True)
     assert full.states.shape == proj.states.shape
     assert np.max(np.linalg.norm(units - proj.states, axis=1)) <= 1e-6
 
 
 def test_smooth_translation_segment():
-    traj = simulate_smooth(EX1, ControlSchedule(((0, 2.0),)), [0.0, -1.0])
+    traj = simulate(EX1, ControlSchedule(((0, 2.0),)), [0.0, -1.0])
     assert np.linalg.norm(traj.endpoint - [0.0, 1.0]) <= 1e-8
 
 
 def test_smooth_orbit_mode_backward_segment():
     back = ControlSchedule(((0, -2.0),), attainable_mode=False)
-    traj = simulate_smooth(EX1, back, [0.0, 1.0])
+    traj = simulate(EX1, back, [0.0, 1.0])
     np.testing.assert_allclose(traj.endpoint, [0.0, -1.0], atol=1e-12)
     assert traj.times[-1] == -2.0 and traj.status == "ok"
 
 
 def test_smooth_gated_fields_fixed_on_half_line():
     for idx in (2, 3):
-        traj = simulate_smooth(EX1, ControlSchedule(((idx, 5.0),)), [0.0, -1.0])
+        traj = simulate(EX1, ControlSchedule(((idx, 5.0),)), [0.0, -1.0])
         assert np.linalg.norm(traj.endpoint - [0.0, -1.0]) <= 1e-8
 
 
 def test_smooth_right_pusher_moves_right():
-    traj = simulate_smooth(EX1, ControlSchedule(((2, 1.0),)), [0.0, 1.0])
+    traj = simulate(EX1, ControlSchedule(((2, 1.0),)), [0.0, 1.0])
     assert traj.endpoint[0] > 0.0
 
 
@@ -142,7 +135,7 @@ def test_smooth_blowup_detection():
     # closed-form time of reaching the recorded state
     w = np.exp(-0.5)
     for dur in (10.0, 1000.0):
-        traj = simulate_smooth(EX1, ControlSchedule(((2, dur),)), [1.0, 1.0])
+        traj = simulate(EX1, ControlSchedule(((2, dur),)), [1.0, 1.0])
         assert traj.status == "blowup"
         assert np.linalg.norm(traj.states[-1]) >= 1e11
         t_end = (np.arctan(traj.endpoint[0] / w) - np.arctan(1.0 / w)) / w
@@ -158,7 +151,7 @@ def test_smooth_stall_raises():
         return out
 
     with pytest.raises(OverflowError):
-        simulate_smooth(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
+        simulate(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
                         [0.0, 1.0])
 
 
@@ -172,19 +165,19 @@ def test_smooth_stall_early_in_long_segment_raises(deadline):
         return out
 
     with deadline(20), pytest.raises(OverflowError):
-        simulate_smooth(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
+        simulate(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
                         [1.999, 1.0])
 
 
 def test_smooth_sampler_rows_replay_exactly():
-    # the sampler and simulate_smooth run the same integrator, one clock per
+    # the sampler and simulate run the same integrator, one clock per
     # row, so every sampled row replays bit for bit, blown-up rows included
     _, indices, durations = _schedule_tables(4, 30, 0, 20, 0.5)
     for x0 in ([0.0, 1.0], [0.0, -1.0]):
         ends = sample_attainable(EX1, x0, 30, seed=0, boundaries=False)
         for i in range(30):
             sched = _schedule_from_row(indices[i], durations[i])
-            assert np.array_equal(simulate_smooth(EX1, sched, x0).endpoint, ends[i])
+            assert np.array_equal(simulate(EX1, sched, x0).endpoint, ends[i])
         assert (np.linalg.norm(ends, axis=1) > BLOWUP_NORM).any()
 
 
@@ -205,7 +198,7 @@ def test_smooth_sampler_agrees_with_dop853_oracle():
 
 def test_simulate_nilpotent_closed_form():
     # exp(t E12) = I + t E12, forward, backward (orbit mode) and sub-stepped
-    fam = MatrixFamily(([[0.0, 1.0], [0.0, 0.0]],))
+    fam = bilinear_system(([[0.0, 1.0], [0.0, 0.0]],))
     x0 = np.array([0.3, -1.1])
 
     def closed(t):
@@ -213,33 +206,25 @@ def test_simulate_nilpotent_closed_form():
 
     for t in (2.5, -1.75):
         sched = ControlSchedule(((0, t),), attainable_mode=t > 0)
-        np.testing.assert_allclose(simulate_bilinear(fam, sched, x0).endpoint,
+        np.testing.assert_allclose(simulate(fam, sched, x0).endpoint,
                                    closed(t), rtol=1e-14, atol=1e-15)
-    traj = simulate_bilinear(fam, ControlSchedule(((0, 2.5),)), x0, record_dt=0.5)
+    traj = simulate(fam, ControlSchedule(split_segments(((0, 2.5),), 0.5)), x0)
     np.testing.assert_allclose(traj.times, np.arange(6) * 0.5, rtol=1e-15)
     for t, state in zip(traj.times, traj.states):
         np.testing.assert_allclose(state, closed(t), rtol=1e-14, atol=1e-15)
 
 
-def test_simulate_rejects_nonpositive_record_dt():
-    for sim, system, x0 in ((simulate_bilinear, PJ.family, [1.0, 0.0]),
-                            (simulate_smooth, EX1, [0.0, 1.0])):
-        for bad in (0.0, -0.5):
-            with pytest.raises(ValueError):
-                sim(system, ControlSchedule(((0, 1.0),)), x0, record_dt=bad)
-
-
 def test_simulate_overflow_raises():
-    fam = MatrixFamily((np.diag([1000.0, 0.0]),))
+    fam = bilinear_system((np.diag([1000.0, 0.0]),))
     with pytest.raises(OverflowError):
-        simulate_bilinear(fam, ControlSchedule(((0, 1.0),)), [1.0, 1.0])
+        simulate(fam, ControlSchedule(((0, 1.0),)), [1.0, 1.0])
 
 
 def test_simulate_nonfinite_flow_scale_raises():
     # |t| |M|_1 = 1e310 is not finite for this defective generator
-    fam = MatrixFamily((np.array([[0.0, 1e10], [0.0, 0.0]]),))
+    fam = bilinear_system((np.array([[0.0, 1e10], [0.0, 0.0]]),))
     with pytest.raises(OverflowError, match="flow overflowed"):
-        simulate_bilinear(fam, ControlSchedule(((0, 1.0), (0, 1e300))), [1.0, 1.0])
+        simulate(fam, ControlSchedule(((0, 1.0), (0, 1e300))), [1.0, 1.0])
 
 
 def test_runner_builds_only_the_flows_a_table_uses(monkeypatch):
@@ -256,9 +241,9 @@ def test_runner_builds_only_the_flows_a_table_uses(monkeypatch):
 
 
 def test_degenerate_underflow_reported():
-    fam = type(PJ.family)((-np.eye(2),))
+    fam = bilinear_system((-np.eye(2),))
     tiny = np.array([1e-250, 0.0])
-    traj = simulate_bilinear(fam, ControlSchedule(((0, 300.0),)), tiny)
+    traj = simulate(fam, ControlSchedule(((0, 300.0),)), tiny)
     assert traj.status == "degenerate"
 
 
@@ -266,9 +251,9 @@ def test_degenerate_reported_at_first_recorded_underflow():
     # exp(-t) * 1e-290 falls below DEGENERATE_NORM inside the 300-unit
     # segment: the trajectory ends at the first recorded state whose norm is
     # below it, not at the end of the segment
-    fam = type(PJ.family)((-np.eye(2),))
-    traj = simulate_bilinear(fam, ControlSchedule(((0, 300.0),)), [1e-290, 0.0],
-                             record_dt=10.0)
+    fam = bilinear_system((-np.eye(2),))
+    traj = simulate(fam, ControlSchedule(split_segments(((0, 300.0),), 10.0)),
+                    [1e-290, 0.0])
     norms = np.hypot.reduce(np.abs(traj.states), axis=1)  # squares would underflow
     assert traj.status == "degenerate"
     assert 0.0 < traj.times[-1] < 300.0
@@ -276,13 +261,13 @@ def test_degenerate_reported_at_first_recorded_underflow():
     assert norms[-1] < DEGENERATE_NORM and np.all(norms[:-1] >= DEGENERATE_NORM)
 
 
-@pytest.mark.parametrize("record_dt", [None, 10.0])
-def test_tiny_states_above_degenerate_norm_are_ok(record_dt):
+@pytest.mark.parametrize("dt", [None, 10.0])
+def test_tiny_states_above_degenerate_norm_are_ok(dt):
     # |x| = 1e-150 exp(-t) stays far above DEGENERATE_NORM, although its
     # square underflows from t = 30 on
-    fam = type(PJ.family)((-np.eye(2),))
-    traj = simulate_bilinear(fam, ControlSchedule(((0, 60.0),)), [1e-150, 0.0],
-                             record_dt=record_dt)
+    fam = bilinear_system((-np.eye(2),))
+    segs = ((0, 60.0),) if dt is None else split_segments(((0, 60.0),), dt)
+    traj = simulate(fam, ControlSchedule(segs), [1e-150, 0.0])
     assert traj.status == "ok"
     assert traj.times[-1] == 60.0
     assert traj.states[-1, 0] == pytest.approx(1e-150 * np.exp(-60.0), rel=1e-12)
@@ -400,7 +385,7 @@ def test_coverage_antipodal_higher_dim_pairing():
 
 
 @pytest.mark.parametrize("cells", [8, 18, 32])
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_coverage_antipodal_quotient_equal_area_cells(n, cells):
     grid = CoverageGrid(n, angular_cells=cells, radial_bins=2, antipodal=True)
     plain = CoverageGrid(n, angular_cells=cells, radial_bins=2)
@@ -412,12 +397,34 @@ def test_coverage_antipodal_quotient_equal_area_cells(n, cells):
     rng = np.random.default_rng(cells)
     units = rng.standard_normal((200, n))
     units /= np.linalg.norm(units, axis=1, keepdims=True)
+    units = np.vstack([units, np.eye(n), -np.eye(n)])  # zero coordinates
     np.testing.assert_array_equal(grid.antipodal_partner(grid.angular_index(units)),
                                   grid.angular_index(-units))
-    pts = units * rng.uniform(0.2, 5.0, size=(200, 1))
+    pts = units * rng.uniform(0.2, 5.0, size=(len(units), 1))
     cells_of = grid.cell_indices(pts)
     assert np.all(cells_of >= 0)
     np.testing.assert_array_equal(cells_of, grid.cell_indices(-pts))
+
+
+@pytest.mark.parametrize("cells", [8, 18, 32])
+@pytest.mark.parametrize("n", [2, 3])
+def test_antipodal_pairing_is_exact_on_cell_edges(n, cells):
+    # a ring in the plane z = 0 with a point on every cell edge for n = 2 and
+    # on every sector edge for n = 3, whose equator is a band edge when the
+    # band count is even; with its antipodes it hits each quotient cell twice
+    grid = CoverageGrid(n, angular_cells=cells, radial_bins=1)
+    quotient = CoverageGrid(n, angular_cells=cells, radial_bins=1, antipodal=True)
+    edges = np.arange(grid.num_angular) / grid.num_angular
+    angles = 2.0 * np.pi * np.concatenate([edges, np.arange(1000) / 1000])
+    ring = np.zeros((len(angles), n))
+    ring[:, 0], ring[:, 1] = np.cos(angles), np.sin(angles)
+    np.testing.assert_array_equal(grid.angular_index(-ring),
+                                  grid.antipodal_partner(grid.angular_index(ring)))
+    both = np.vstack([ring, -ring])
+    hits = np.unique(grid.cell_indices(both)).size
+    assert hits == 2 * np.unique(quotient.cell_indices(both)).size
+    if n == 3 and cells == 32:  # 4 bands of 8 sectors
+        assert hits == 8
 
 
 @pytest.mark.parametrize("antipodal", [False, True])
