@@ -54,17 +54,15 @@ class RadialDistribution:
     normal_fn maps a stack of nonzero points (..., n) to vectors (..., n)
     orthogonal to the leaves through them (length and sign are irrelevant),
     with non-finite rows where the normal is undefined; like a smooth field
-    of model.SystemSpec.  leaf_fn, when given, is a scalar function constant
-    on leaves, used for membership checks.  transversality (the normal never
-    orthogonal to the position) is enforced at every probe.
+    of model.SystemSpec.  transversality (the normal never orthogonal to the
+    position) is enforced at every probe.
     """
 
-    def __init__(self, n: int, normal_fn, leaf_fn=None, name: str = ""):
+    def __init__(self, n: int, normal_fn, name: str = ""):
         if n < 2:
             raise ValueError("radial distributions need n >= 2")
         self.n = int(n)
         self.normal_fn = normal_fn
-        self.leaf_fn = leaf_fn
         self.name = name
 
     def normal_at(self, x) -> np.ndarray:
@@ -92,7 +90,6 @@ def _unit_normals(distr: RadialDistribution, x: np.ndarray) -> np.ndarray:
 def sphere_distribution(n: int = 3) -> RadialDistribution:
     """Leaves are the centered spheres: normal N(x) = x."""
     return RadialDistribution(n, lambda x: np.asarray(x, dtype=float),
-                              leaf_fn=lambda x: float(np.log(np.linalg.norm(x))),
                               name="sphere")
 
 
@@ -113,13 +110,7 @@ def radial_graph_distribution(n: int = 3, slope: float = 0.3) -> RadialDistribut
         sigma = x / r
         return x / r**2 - slope * (e - sigma[..., -1:] * sigma) / r
 
-    def leaf(x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        return float(np.log(r) - slope * x[-1] / r)
-
-    return RadialDistribution(n, normal, leaf_fn=leaf,
-                              name=f"radial_graph(slope={slope})")
+    return RadialDistribution(n, normal, name=f"radial_graph(slope={slope})")
 
 
 def orbit_tangent_distribution(spec: SystemSpec, basis: LieBasis | None = None,
@@ -146,8 +137,7 @@ def orbit_tangent_distribution(spec: SystemSpec, basis: LieBasis | None = None,
                            u[..., -1], np.nan)
         return out
 
-    return RadialDistribution(n, normal, leaf_fn=None,
-                              name=f"orbit_tangent({spec.name})")
+    return RadialDistribution(n, normal, name=f"orbit_tangent({spec.name})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +248,11 @@ class FirstReturnResult:
 
 
 def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
-                   arc_budget: float) -> list:
+                   max_arc: float) -> list:
     """Leaf lines from the plane point start = (a, b), a > 0, of every
     section to phi = pi, as one table of RETURN_PIECES equal angle pieces per
     row.  Returns one FirstReturnResult per section, or the FoliationError
-    of the sections that fail."""
+    of the sections that fail; a line longer than max_arc does not return."""
     rows = len(sections)
     phi0 = float(np.arctan2(start[1], start[0]))
     x0s = np.zeros((rows, 3 + distr.n))
@@ -280,9 +270,9 @@ def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
         if not np.isfinite(states[k]).all():
             out.append(TransversalityError(
                 "leaf normal turned radial or undefined along the arc"))
-        elif stop[k] < RETURN_PIECES or arcs[k, -1] > arc_budget:
+        elif stop[k] < RETURN_PIECES or arcs[k, -1] > max_arc:
             out.append(NoReturnError(
-                f"no crossing of the opposite ray within arc length {arc_budget}"))
+                f"no crossing of the opposite ray within arc length {max_arc}"))
         else:
             out.append(FirstReturnResult(
                 p_return=points[k, -1], radius=float(np.exp(states[k, -1, 0])),
@@ -292,8 +282,8 @@ def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
     return out
 
 
-def first_return(distr: RadialDistribution, section: PlanarSection, start=None,
-                 arc_budget: float | None = None) -> FirstReturnResult:
+def first_return(distr: RadialDistribution, section: PlanarSection,
+                 start=None) -> FirstReturnResult:
     """Integrate the oriented leaf line from the pole (or start, a point of
     the plane on the pole's side) to the opposite ray.
 
@@ -301,7 +291,7 @@ def first_return(distr: RadialDistribution, section: PlanarSection, start=None,
     the ray; arc points are recorded at RETURN_PIECES equal angle pieces.
     Raises TransversalityError where the leaf tangent turns radial, and
     NoReturnError when the line escapes past reach.BLOWUP_NORM or its arc
-    length exceeds arc_budget.
+    length exceeds 200 max(1, |start|).
     """
     if start is None:
         u = np.array([1.0, 0.0])
@@ -309,9 +299,8 @@ def first_return(distr: RadialDistribution, section: PlanarSection, start=None,
         u = np.array(_plane_coords(section, start))
     if u[0] <= 0.0:
         raise ValueError("start point must lie on the positive pole ray side")
-    if arc_budget is None:
-        arc_budget = 200.0 * max(1.0, float(np.linalg.norm(u)))
-    result = _first_returns(distr, [section], u, arc_budget)[0]
+    max_arc = 200.0 * max(1.0, float(np.linalg.norm(u)))
+    result = _first_returns(distr, [section], u, max_arc)[0]
     if isinstance(result, FoliationError):
         raise result
     return result

@@ -245,8 +245,8 @@ def _schedule_tables(num_fields: int, budget: int, seed: int,
         raise ValueError("budget must be >= 1")
     if max_segments < 1:
         raise ValueError("max_segments must be >= 1")
-    if duration_scale <= 0:
-        raise ValueError("duration_scale must be positive")
+    if not 0.0 < duration_scale < np.inf:
+        raise ValueError("duration_scale must be positive and finite")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     counts = np.random.default_rng([seed, 1]).integers(1, max_segments + 1, size=budget)
@@ -292,10 +292,11 @@ def spread_directions(rng: np.random.Generator, n: int, count: int) -> np.ndarra
     cand = rng.standard_normal((max(64, 32 * count), n))
     cand /= np.linalg.norm(cand, axis=1, keepdims=True)
     chosen = [cand[0]]
+    near = np.zeros(len(cand))  # largest |dot| with a chosen direction
     for _ in range(count - 1):
+        near = np.maximum(near, np.abs(cand @ chosen[-1]))
         # distance to the chosen set and its antipodes: 1 - |dot|
-        score = 1.0 - np.max(np.abs(cand @ np.array(chosen).T), axis=1)
-        chosen.append(cand[int(np.argmax(score))])
+        chosen.append(cand[int(np.argmax(1.0 - near))])
     return np.array(chosen)
 
 
@@ -323,8 +324,8 @@ class CoverageGrid:
             raise ValueError("n must be >= 1")
         if angular_cells < 1 or radial_bins < 1:
             raise ValueError("grid resolution must be >= 1")
-        if not (0.0 < r_min < r_max):
-            raise ValueError("need 0 < r_min < r_max")
+        if not (0.0 < r_min < r_max < np.inf):
+            raise ValueError("need 0 < r_min < r_max < inf")
         self.n = n
         self.radial_bins = int(radial_bins)
         self.r_min = float(r_min)

@@ -7,8 +7,10 @@ scipy matrix exponentials, the smooth-flow oracle runs scipy's DOP853 at a
 tight tolerance, the tangent-rank oracle pushes the closure to the sphere
 with its own ``project_sphere`` instead of appending the radial line, and
 the reach-search oracle runs the descent one candidate per ``simulate``
-call instead of in batched tables.  ``split_segments`` cuts a schedule into
-equal pieces, so that ``simulate`` records states inside its segments.
+call instead of in batched tables, the spread-direction oracle rescans every
+chosen point on each pick, and the leaf oracle is the closed-form defining
+function of the radial-graph leaves.  ``split_segments`` cuts a schedule
+into equal pieces, so that ``simulate`` records states inside its segments.
 """
 
 from fractions import Fraction
@@ -158,6 +160,27 @@ def split_segments(segments, dt):
         steps = 1 if dur == 0.0 else int(np.ceil(abs(dur) / dt))
         pieces += [(idx, dur / steps)] * steps
     return tuple(pieces)
+
+
+def spread_directions(rng, n, count):
+    """Greedy farthest-point directions as reach.spread_directions picks
+    them, drawing the same candidates, but scoring each pick against the
+    whole chosen set anew."""
+    cand = rng.standard_normal((max(64, 32 * count), n))
+    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+    chosen = [cand[0]]
+    for _ in range(count - 1):
+        score = 1.0 - np.max(np.abs(cand @ np.array(chosen).T), axis=1)
+        chosen.append(cand[int(np.argmax(score))])
+    return np.array(chosen)
+
+
+def radial_graph_leaf(x, slope):
+    """log|x| - slope x_n/|x|, constant on each leaf of
+    foliation.radial_graph_distribution(n, slope)."""
+    x = np.asarray(x, dtype=float)
+    r = np.linalg.norm(x)
+    return float(np.log(r) - slope * x[-1] / r)
 
 
 def smooth_endpoint(fields, segments, x0, blowup_norm):

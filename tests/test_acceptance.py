@@ -88,7 +88,7 @@ def test_criterion_2_transversality_duality_on_random_systems():
 
 def test_criterion_3_certificate_soundness():
     with criterion(3, "certificate soundness on the corpus", 30.0):
-        budgets = AnalysisBudgets(samples=2000, restarts=6)
+        budgets = AnalysisBudgets(samples=2000)
 
         so3 = builtin_corpus("so3")
         v = decide_controllability(so3, budgets)
@@ -135,8 +135,7 @@ def test_criterion_4_empirical_controllability_planar():
 
 def test_criterion_5_certificates_never_meet_high_coverage():
     with criterion(5, "no certificate coexists with dense coverage", 600.0):
-        budgets = AnalysisBudgets(samples=2000, reach_budget=30000,
-                                  profile_samples=50, restarts=6, seed=0)
+        budgets = AnalysisBudgets(samples=2000, reach_budget=30000, seed=0)
         systems = [builtin_corpus(name) for name in
                    ("so3", "planar_jd", "expanding_pair", "identity_only",
                     "example1")]

@@ -178,7 +178,7 @@ def test_orbit_dimension_profiles():
 
 
 def test_decide_so3_rank_drop():
-    v = decide_controllability(SO3, AnalysisBudgets(samples=1000, restarts=4))
+    v = decide_controllability(SO3, AnalysisBudgets(samples=1000))
     assert v.conclusion == "not_controllable"
     assert isinstance(v.certificate, LarcFailure)
     assert v.certificate.dim == 2
@@ -192,7 +192,7 @@ def test_decide_so3_rank_drop():
 
 
 def test_decide_expanding_pair_monotone():
-    v = decide_controllability(EP, AnalysisBudgets(samples=1000, restarts=4))
+    v = decide_controllability(EP, AnalysisBudgets(samples=1000))
     assert v.conclusion == "not_controllable"
     assert isinstance(v.certificate, MonotoneNorm)
     assert v.certificate.direction == "nondecreasing"
@@ -228,24 +228,16 @@ def test_decide_smooth_bypasses_certificates():
     assert v.angular == "unknown"
 
 
-def test_decide_unconverged_closure_is_undetermined():
-    v = decide_controllability(
-        PJ, AnalysisBudgets(reach_budget=60000, closure_depth_cap=0))
-    assert v.conclusion == "undetermined"
-    assert not v.diagnostics["closure_converged"]
-    assert v.evidence is not None and v.evidence.fraction >= 0.99
-
-
 def test_decide_scale_invariance():
     for name in ("so3", "expanding_pair", "identity_only"):
         spec = builtin_corpus(name)
-        base = decide_controllability(spec, AnalysisBudgets(samples=500, restarts=3,
+        base = decide_controllability(spec, AnalysisBudgets(samples=500,
                                                             reach_budget=2000))
         for lam in (0.5, 2.0):
             scaled_family = type(spec.family)(
                 tuple(lam * m for m in spec.family.matrices))
             scaled = type(spec)(n=spec.n, name=spec.name, family=scaled_family)
-            v = decide_controllability(scaled, AnalysisBudgets(samples=500, restarts=3,
+            v = decide_controllability(scaled, AnalysisBudgets(samples=500,
                                                                reach_budget=2000))
             assert v.conclusion == base.conclusion
 
@@ -253,8 +245,7 @@ def test_decide_scale_invariance():
 def test_decide_badly_scaled_generators_never_certified():
     # sl(2) from {[[s, 1], [0, -s]], J} has rank 2 everywhere whatever s is,
     # and {I + J, eps (-I + J)} spirals both out and in
-    budgets = AnalysisBudgets(samples=300, restarts=2, profile_samples=20,
-                              reach_budget=500)
+    budgets = AnalysisBudgets(samples=300, reach_budget=500)
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     for s in (1.0, 1e9, 1e200):
         spec = bilinear_system([[[s, 1.0], [0.0, -s]], J])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import types
 import warnings
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import bilinctrl
+from bilinctrl.analysis import AnalysisBudgets
 from bilinctrl.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_UNDETERMINED, \
-    FOLIATION_EXAMPLES, build_parser, main
+    FOLIATION_EXAMPLES, _budgets, build_parser, main
 from bilinctrl.model import builtin_corpus, parse_system
 
 
@@ -344,6 +346,26 @@ def test_environment_records_the_flags_each_subcommand_has(tmp_path):
                   "projective"},
         "foliation": {"version", "seed", "tol"},
     }
+
+
+def test_analysis_budgets_are_the_analyze_flags():
+    # each field is set from an analyze flag; the other settings are constants
+    args = build_parser().parse_args([
+        "analyze", "--builtin", "so3", "--samples", "7", "--budget", "11",
+        "--coverage-threshold", "0.5", "--tol", "1e-7", "--seed", "3",
+        "--grid", "9", "--radial-bins", "5", "--projective"])
+    set_by_flags = {"samples": 7, "reach_budget": 11, "coverage_threshold": 0.5,
+                    "tol": 1e-7, "seed": 3, "angular_cells": 9, "radial_bins": 5,
+                    "projective": True}
+    assert {f.name for f in dataclasses.fields(AnalysisBudgets)} == set(set_by_flags)
+    assert dataclasses.asdict(_budgets(args)) == set_by_flags
+    assert all(getattr(AnalysisBudgets(), name) != value
+               for name, value in set_by_flags.items())
+    constants = {"restarts": 12, "profile_samples": 100, "r_min": 0.1, "r_max": 10.0,
+                 "max_segments": 20, "duration_scale": 0.5, "closure_depth_cap": None}
+    assert {name: getattr(AnalysisBudgets, name) for name in constants} == constants
+    with pytest.raises(TypeError):
+        AnalysisBudgets(restarts=4)
 
 
 def test_foliation_example_dim(tmp_path):

@@ -17,6 +17,8 @@ from bilinctrl.foliation import (
 )
 from bilinctrl.model import bilinear_system, builtin_corpus
 
+from oracles import radial_graph_leaf
+
 POLE = np.array([0.0, 0.0, 1.0])
 THETA = np.array([1.0, 0.0, 0.0])
 
@@ -106,9 +108,9 @@ def test_arc_planarity_and_tangency():
 
 
 def test_return_point_stays_on_leaf():
-    distr = radial_graph_distribution(3, 0.3)
-    res = first_return(distr, planar_section(THETA))
-    assert abs(distr.leaf_fn(res.p_return) - distr.leaf_fn(POLE)) <= 1e-6
+    res = first_return(radial_graph_distribution(3, 0.3), planar_section(THETA))
+    assert abs(radial_graph_leaf(res.p_return, 0.3)
+               - radial_graph_leaf(POLE, 0.3)) <= 1e-6
 
 
 def test_constancy_sphere():
@@ -157,7 +159,16 @@ def test_twisted_distribution_is_not_constant():
 
 
 def test_no_return_within_budget():
+    # the leaf through the pole returns at radius e^10, past the arc budget
+    # of 200 max(1, |start|)
     with pytest.raises(NoReturnError):
+        first_return(radial_graph_distribution(3, slope=-5.0), planar_section(THETA))
+
+
+def test_leaf_settings_are_not_parameters():
+    with pytest.raises(TypeError):
+        RadialDistribution(3, lambda x: x, leaf_fn=None)
+    with pytest.raises(TypeError):
         first_return(sphere_distribution(3), planar_section(THETA), arc_budget=0.5)
 
 
@@ -171,11 +182,10 @@ def test_arc_family_sphere_points_on_unit_sphere():
 
 
 def test_arc_family_radial_graph_stays_on_leaf():
-    distr = radial_graph_distribution(3, 0.3)
-    fam = arc_family(distr, theta_samples=12, seed=0)
+    fam = arc_family(radial_graph_distribution(3, 0.3), theta_samples=12, seed=0)
     for res in fam.results:
         for pt in res.arc_points:
-            assert abs(distr.leaf_fn(pt) - distr.leaf_fn(POLE)) <= 1e-5
+            assert abs(radial_graph_leaf(pt, 0.3) - radial_graph_leaf(POLE, 0.3)) <= 1e-5
     assert 0.0 < fam.min_point_radius <= fam.max_point_radius < np.inf
     assert fam.mean_radius == pytest.approx(np.exp(-0.6), abs=1e-6)
 

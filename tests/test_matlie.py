@@ -117,6 +117,31 @@ def test_closure_depth_cap_flags_nonconvergence():
     assert basis.dim == 2
 
 
+def _closure_families():
+    rng = np.random.default_rng(12)
+    for n in range(1, 6):
+        for m in (1, 2, 3):
+            for sparse in (False, True):
+                mats = rng.standard_normal((m, n, n))
+                if sparse:
+                    mats[rng.random(mats.shape) < 0.5] = 0.0
+                yield mats
+    yield [E12, E21]
+    for name in ("so3", "planar_jd", "identity_only"):
+        yield builtin_corpus(name).family.matrices
+    yield [[[0.0]]]
+
+
+def test_closure_converges_below_n_squared_rounds_at_default_cap():
+    # each round that does not end the bracketing admits a direction of
+    # gl(n), so the default cap of 2 n^2 rounds never binds
+    for mats in _closure_families():
+        basis = lie_closure(mats)
+        n = np.shape(mats[0])[0]
+        assert basis.converged
+        assert basis.depth < n * n
+
+
 def test_evaluate_so3_at_pole():
     so3 = builtin_corpus("so3")
     basis = lie_closure(so3.family.matrices)

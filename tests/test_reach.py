@@ -15,11 +15,13 @@ from bilinctrl.reach import (
     coverage,
     sample_attainable,
     simulate,
+    spread_directions,
     _schedule_from_row,
     _schedule_tables,
 )
 
 from oracles import expm_product, serial_reach_search, smooth_endpoint, split_segments
+from oracles import spread_directions as rescan_spread_directions
 
 PJ = builtin_corpus("planar_jd")
 SO3 = builtin_corpus("so3")
@@ -344,6 +346,40 @@ def test_sampler_endpoints_match_simulator_shift_lz():
         sched = _schedule_from_row(indices[i], durations[i])
         expect = expm_product(shift_lz.family.matrices, sched.segments, x0)
         assert np.linalg.norm(ends[i] - expect) <= 1e-10 * max(1.0, np.linalg.norm(expect))
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("search", [False, True], ids=["sample", "reach"])
+def test_schedules_refuse_bad_duration_scale(search, scale):
+    # nan used to give an empty cloud, inf a cloud with non-finite rows
+    with pytest.raises(ValueError, match="duration_scale"):
+        if search:
+            approx_reach_test(PJ, [1.0, 0.0], [0.0, 2.0], 1e-2, 10, 0,
+                              duration_scale=scale)
+        else:
+            sample_attainable(PJ, [1.0, 0.0], 10, 0, duration_scale=scale)
+
+
+def test_coverage_grid_refuses_infinite_r_max():
+    # every point at least r_min from the origin fell in radial bin 0
+    with pytest.raises(ValueError, match="r_max"):
+        CoverageGrid(2, r_max=np.inf)
+
+
+@pytest.mark.parametrize("n, count", [(4, 16), (5, 16), (6, 16), (3, 64), (4, 64),
+                                      (5, 128)])
+def test_spread_directions_match_rescan_oracle(n, count):
+    got = spread_directions(np.random.default_rng([0, n, count]), n, count)
+    want = rescan_spread_directions(np.random.default_rng([0, n, count]), n, count)
+    assert np.array_equal(got, want)
+
+
+def test_fine_high_dimensional_grid_builds_quickly(deadline):
+    # picking each center used to rescan all earlier ones, about 11 s on a
+    # 2-vCPU machine
+    with deadline(5):
+        grid = CoverageGrid(5, angular_cells=1024)
+    assert grid.num_angular == 1024
 
 
 def test_coverage_single_point():
