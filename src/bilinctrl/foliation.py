@@ -26,6 +26,7 @@ from .reach import integrate_table, spread_directions
 TRANS_TOL = 1e-9  # least |cos| between a leaf normal and the ray
 RETURN_PIECES = 64  # equal angle pieces per leaf line, an arc point after each
 CONSTANCY_TOL = 1e-6  # largest deviation of the return radii, relative to their mean
+ESCAPE_NORM = 1e12  # a leaf row (log r, phi, arc, theta) past this norm does not return
 
 
 class FoliationError(RuntimeError):
@@ -260,7 +261,8 @@ def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
     x0s[:, 3:] = [sec.theta for sec in sections]
     durations = np.full((rows, RETURN_PIECES), (np.pi - phi0) / RETURN_PIECES)
     bounds, stop, _ = integrate_table((_angle_rates(distr),), x0s,
-                                      np.zeros(durations.shape, dtype=int), durations)
+                                      np.zeros(durations.shape, dtype=int), durations,
+                                      ESCAPE_NORM)
     states = np.concatenate([x0s[:, None, :], bounds], axis=1)
     points, velocities = (a.reshape(rows, -1, distr.n) for a in _points_and_velocities(
         distr, states.reshape(-1, states.shape[2])))
@@ -290,8 +292,10 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
     The line is integrated over its angle phi to phi = pi, where it meets
     the ray; arc points are recorded at RETURN_PIECES equal angle pieces.
     Raises TransversalityError where the leaf tangent turns radial, and
-    NoReturnError when the line escapes past reach.BLOWUP_NORM or its arc
-    length exceeds 200 max(1, |start|).
+    NoReturnError when the line's row (log r, phi, arc length, theta) passes
+    ESCAPE_NORM = 1e12 or its arc length exceeds 200 max(1, |start|).  That
+    escape norm is not reach.BLOWUP_NORM = 1e6: it bounds a row that holds
+    an arc length, which may legitimately pass 1e6 for a far start.
     """
     if start is None:
         u = np.array([1.0, 0.0])

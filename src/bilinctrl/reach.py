@@ -24,7 +24,7 @@ from .matlie import check_point, exponential_map
 from .model import ControlSchedule, SystemSpec
 
 DEGENERATE_NORM = 1e-300
-BLOWUP_NORM = 1e12
+BLOWUP_NORM = 1e6  # a smooth schedule row stops past this norm
 SMOOTH_TOL = 1e-10
 _DESCENT_BATCH = 32  # reach-search candidates run as one table
 
@@ -36,7 +36,11 @@ class Trajectory:
 
     status is "ok", "degenerate" (norm below DEGENERATE_NORM; the trajectory
     is truncated there) or, for smooth systems only, "blowup" (norm exceeded
-    BLOWUP_NORM; the trajectory is truncated there).
+    BLOWUP_NORM = 1e6; the trajectory is truncated there).  That escape norm
+    lies five decades beyond the coverage annulus (r_max = 10 by default),
+    and an escaping row such as example1's x' ~ x^2 costs about 100 steps
+    per decade, so rows stop there rather than run on.  foliation's leaf
+    lines stop at their own, larger foliation.ESCAPE_NORM.
     """
 
     times: np.ndarray
@@ -75,31 +79,36 @@ def rk_step(f, u, h):
 
 
 def _field_rows(fields, field):
-    """The map u -> (fields[field[r]](u[r]))_r on stacks of rows u."""
-    ks = np.unique(field)
-    if ks.size == 1:
-        return fields[ks[0]]
-    groups = [(fields[k], np.flatnonzero(field == k)) for k in ks]
+    """The map u -> (fields[field[r]](u[r]))_r on stacks of rows u, for
+    field indices sorted ascending: each field runs on one slice of rows."""
+    edges = [0, *(np.flatnonzero(np.diff(field)) + 1), len(field)]
+    if len(edges) == 2:
+        return fields[field[0]]
+    groups = [(fields[field[a]], slice(a, b)) for a, b in zip(edges[:-1], edges[1:])]
 
     def f(u):
         out = np.empty_like(u)
-        for fk, g in groups:
-            out[g] = fk(u[g])
+        for fk, rows in groups:
+            out[rows] = fk(u[rows])
         return out
     return f
 
 
-def integrate_table(fields, x0s, indices, durations):
+def integrate_table(fields, x0s, indices, durations, escape_norm):
     """Run the segments (indices[r, j], durations[r, j]) of each table row r
     from x0s[r] along u' = fields[indices[r, j]](u), each field mapping
     stacks of rows to stacks of rows, with one clock and step size per row
     and local error per step below SMOOTH_TOL * (1 + |x|); a negative
-    duration runs backward; foliation runs its leaf lines here too.  Returns
-    (bounds, stop, left): bounds[r, j] is row r's state after segment j.  A
-    row stops in segment stop[r] (else the segment count) with left[r] of it
-    to go once its norm passes BLOWUP_NORM, and then stays put in bounds, or
-    once its step no longer moves its clock (the time since the row's start),
-    or its state right after a rejected step, and then turns non-finite."""
+    duration runs backward.  Returns (bounds, stop, left): bounds[r, j] is
+    row r's state after segment j.  A row stops in segment stop[r] (else the
+    segment count) with left[r] of it to go once its norm passes escape_norm,
+    and then stays put in bounds, or once its step no longer moves its clock
+    (the time since the row's start), or its state right after a rejected
+    step, and then turns non-finite.  The caller picks escape_norm: schedule
+    rows stop at BLOWUP_NORM, foliation's leaf lines, whose state holds an
+    arc length that may legitimately pass it, at foliation.ESCAPE_NORM.
+    Live rows are kept sorted by field, so each field runs on one slice of
+    rows; every row runs bit for bit as it would alone."""
     rows, segs = durations.shape
     starts = np.cumsum(np.abs(durations), axis=1) - np.abs(durations)
     bounds = np.empty((rows, segs, x0s.shape[1]))
@@ -120,11 +129,14 @@ def integrate_table(fields, x0s, indices, durations):
                     done = done[seg[done] < segs]
                     rem[done] = np.abs(durations[live[done], seg[done]])
                     done = done[rem[done] == 0.0]
-                keep = seg < segs
-                live, x, seg, rem, h, cut = (a[keep] for a in (live, x, seg, rem, h, cut))
-                if not live.size:
+                keep = np.flatnonzero(seg < segs)
+                if not keep.size:
                     return bounds, stop, left
-                dur, f = durations[live, seg], _field_rows(fields, indices[live, seg])
+                field = indices[live[keep], seg[keep]]
+                order = np.argsort(field, kind="stable")
+                keep, field = keep[order], field[order]
+                live, x, seg, rem, h, cut = (a[keep] for a in (live, x, seg, rem, h, cut))
+                dur, f = durations[live, seg], _field_rows(fields, field)
                 t0 = starts[live, seg]
             step = np.minimum(h, rem)
             u5, err = rk_step(f, x, np.copysign(step, dur))
@@ -138,7 +150,7 @@ def integrate_table(fields, x0s, indices, durations):
             x[ok] = u5[ok]
             rem = np.where(ok, rem - step, rem)  # exactly 0 after the last step
             t = t0 + (np.abs(dur) - rem)  # time since the row's start
-            blow = ok & (np.linalg.norm(u5, axis=1) > BLOWUP_NORM)
+            blow = ok & (np.linalg.norm(u5, axis=1) > escape_norm)
             stall = ((t + h == t) | stuck) & ~blow
             halt = blow | stall
             if halt.any():
@@ -179,7 +191,7 @@ def _runner(spec):
     a zero duration leaves the state as it is, rows never stop, and a row
     that overflows turns non-finite."""
     if not spec.is_bilinear:
-        return lambda *table: integrate_table(spec.fields, *table)
+        return lambda *table: integrate_table(spec.fields, *table, BLOWUP_NORM)
     flows = {}
 
     def run(x0s, indices, durations):
@@ -208,7 +220,8 @@ def simulate(spec: SystemSpec, schedule: ControlSchedule, x0) -> Trajectory:
 
     Stops with status "degenerate" at the first recorded state whose norm
     is below DEGENERATE_NORM, and for a smooth system with status "blowup"
-    where the norm passes BLOWUP_NORM, at the time of that step.  Raises
+    where the norm passes BLOWUP_NORM = 1e6 (the escape norm of every
+    schedule row, sampled or searched alike), at the time of that step.  Raises
     OverflowError once the state is no longer finite: a bilinear flow
     overflowed, or a smooth step stalled (a field turned non-finite).
     """
@@ -274,7 +287,10 @@ def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
     default) the cloud holds every segment-boundary state; each such point is
     the endpoint of a sampled schedule prefix, so all cloud points are
     attainable.  With boundaries=False only the final endpoints are returned
-    (exactly ``budget`` points).  Deterministic for a fixed seed.
+    (exactly ``budget`` points).  Deterministic for a fixed seed.  A smooth
+    row stops at its first state past BLOWUP_NORM, so a smooth cloud holds
+    no point beyond one step past that norm, and a CoverageGrid whose r_max
+    exceeds BLOWUP_NORM sees only those stopped rows out there.
     """
     x0 = check_point(x0, spec.n, "x0")
     _, indices, durations = _schedule_tables(
@@ -314,7 +330,8 @@ class CoverageGrid:
     on cell edges too: of u and -u, the one whose first nonzero coordinate
     in the order x_1, x_0, x_2, ..., x_(n-1) is positive is binned, and the
     other gets the partner of its cell.  The antipodal (projective) quotient
-    cell of i is then i % (num_angular // 2).
+    cell of i is then i % (num_angular // 2).  Smooth clouds stop at their
+    first state past BLOWUP_NORM, so radial bins beyond it hold only those.
     """
 
     def __init__(self, n: int, angular_cells: int = 32, radial_bins: int = 16,

@@ -13,6 +13,7 @@ from bilinctrl.reach import (
     CoverageGrid,
     approx_reach_test,
     coverage,
+    integrate_table,
     sample_attainable,
     simulate,
     spread_directions,
@@ -139,7 +140,7 @@ def test_smooth_blowup_detection():
     for dur in (10.0, 1000.0):
         traj = simulate(EX1, ControlSchedule(((2, dur),)), [1.0, 1.0])
         assert traj.status == "blowup"
-        assert np.linalg.norm(traj.states[-1]) >= 1e11
+        assert np.linalg.norm(traj.states[-1]) > BLOWUP_NORM
         t_end = (np.arctan(traj.endpoint[0] / w) - np.arctan(1.0 / w)) / w
         assert traj.times[-1] == pytest.approx(t_end, rel=1e-9)
 
@@ -181,6 +182,21 @@ def test_smooth_sampler_rows_replay_exactly():
             sched = _schedule_from_row(indices[i], durations[i])
             assert np.array_equal(simulate(EX1, sched, x0).endpoint, ends[i])
         assert (np.linalg.norm(ends, axis=1) > BLOWUP_NORM).any()
+
+
+def test_integrate_table_is_row_order_independent():
+    # live rows are sorted by field so that each field runs on one slice;
+    # a row's result must not depend on where it sits in the table
+    _, indices, durations = _schedule_tables(4, 120, 3, 8, 0.5)
+    x0s = np.random.default_rng(5).standard_normal((120, 2))
+    table = (x0s, indices, durations)
+    bounds, stop, left = integrate_table(EX1.fields, *table, BLOWUP_NORM)
+    assert set(indices[durations > 0.0]) == {0, 1, 2, 3}
+    assert (stop < 8).any() and (stop == 8).any()  # rows that escape and rows that finish
+    perm = np.random.default_rng(6).permutation(120)
+    permuted = integrate_table(EX1.fields, *(a[perm] for a in table), BLOWUP_NORM)
+    for got, want in zip(permuted, (bounds, stop, left)):
+        assert got.tobytes() == want[perm].tobytes()
 
 
 def test_smooth_sampler_agrees_with_dop853_oracle():
