@@ -181,6 +181,8 @@ def _evidence_doc(evidence) -> dict | None:
         "angular_fraction": evidence.angular_fraction,
         "points": evidence.num_points,
         "points_in_annulus": evidence.num_in_annulus,
+        "points_below_annulus": evidence.num_below_annulus,
+        "points_beyond_annulus": evidence.num_beyond_annulus,
         "grid": evidence.grid_params,
     }
 

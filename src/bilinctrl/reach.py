@@ -5,17 +5,19 @@ simulation (``simulate``: a one-row table, bilinear or smooth, recording
 each segment's end), sampling and reach search alike: bilinear rows
 are products of flows exp(t M_k) x, one batched flow per generator (cached
 eigenfactors, or matlie's batched Padé exponential for a defective
-generator), built when a table first uses it; smooth rows go through one
-batched Fehlberg integrator.  Attainable-set clouds are produced by a seeded
-random-schedule sampler whose per-schedule randomness is a pure function of
-(seed, schedule index), so any execution order yields the same cloud.
-Coverage is measured on angular cells (equal-area for n <= 3) crossed with
-log-radial bins over an annulus; the cell of -u is always the antipodal
-partner of the cell of u.
+generator), built when a table first uses it and kept with its family;
+smooth rows go through one batched Fehlberg integrator.  Attainable-set
+clouds are produced by a seeded random-schedule sampler whose per-schedule
+randomness is a pure function of (seed, schedule index), so any execution
+order yields the same cloud.  Coverage is measured on angular cells
+(equal-area for n <= 3) crossed with log-radial bins over an annulus, in
+fixed blocks of cloud rows; the cell of -u is always the antipodal partner
+of the cell of u.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,10 @@ DEGENERATE_NORM = 1e-300
 BLOWUP_NORM = 1e6  # a smooth schedule row stops past this norm
 SMOOTH_TOL = 1e-10
 _DESCENT_BATCH = 32  # reach-search candidates run as one table
+_COVERAGE_BLOCK = 1 << 14  # cloud rows binned at a time
+# the flows built for each matrix family, by generator index; a family is
+# immutable, so its flows stay valid for as long as it lives
+_FAMILY_FLOWS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,26 +192,29 @@ def _flow(m):
 def _runner(spec):
     """The function (x0s, indices, durations) -> (bounds, stop, left) that
     runs schedule tables of spec as integrate_table does: the one place that
-    decides how a schedule runs.  A bilinear table runs column by column
-    through one flow per generator, built once, when a table first uses it:
-    a zero duration leaves the state as it is, rows never stop, and a row
-    that overflows turns non-finite."""
+    decides how a schedule runs.  A bilinear table runs column by column:
+    in each column the rows of each generator are picked by index and moved
+    by that generator's flow.  A zero duration leaves the state as it is,
+    rows never stop, and a row that overflows turns non-finite.  A flow is
+    built when a table first uses its generator and kept with the family,
+    so later runners of the same family build it no more.  bounds is a
+    view of a segment-major array: each column of boundary states is one
+    contiguous block."""
     if not spec.is_bilinear:
         return lambda *table: integrate_table(spec.fields, *table, BLOWUP_NORM)
-    flows = {}
+    flows = _FAMILY_FLOWS.setdefault(spec.family, {})
 
     def run(x0s, indices, durations):
         rows, segs = durations.shape
-        # segment-major, so that each column of boundary states is one block
         bounds = np.empty((segs, rows, x0s.shape[1])).transpose(1, 0, 2)
         x = np.array(x0s, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: non-finite rows
             for j in range(segs):
-                t = durations[:, j]
+                t, col = durations[:, j], indices[:, j]
                 active = t != 0.0
                 for k, m in enumerate(spec.family.matrices):
-                    sel = active & (indices[:, j] == k)
-                    if sel.any():
+                    sel = (active & (col == k)).nonzero()[0]  # cheaper than flatnonzero
+                    if sel.size:
                         if k not in flows:
                             flows[k] = _flow(m)
                         x[sel] = flows[k](t[sel], x[sel])
@@ -290,14 +299,20 @@ def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
     (exactly ``budget`` points).  Deterministic for a fixed seed.  A smooth
     row stops at its first state past BLOWUP_NORM, so a smooth cloud holds
     no point beyond one step past that norm, and a CoverageGrid whose r_max
-    exceeds BLOWUP_NORM sees only those stopped rows out there.
+    exceeds BLOWUP_NORM sees only those stopped rows out there.  The
+    boundary cloud is segment-major: all rows' first boundaries in row
+    order, then their second, and so on, each after a positive duration;
+    it is gathered from the table in one pass.
     """
     x0 = check_point(x0, spec.n, "x0")
     _, indices, durations = _schedule_tables(
         spec.num_fields, budget, seed, max_segments, duration_scale)
     bounds, _, _ = _runner(spec)(np.broadcast_to(x0, (budget, x0.size)), indices, durations)
-    # segment by segment, each after its positive durations
-    return bounds.transpose(1, 0, 2)[durations.T > 0.0] if boundaries else bounds[:, -1]
+    if not boundaries:
+        return bounds[:, -1]
+    # a view for a bilinear table, whose bounds are segment-major already
+    by_segment = bounds.transpose(1, 0, 2).reshape(-1, x0.size)
+    return np.compress((durations.T > 0.0).ravel(), by_segment, axis=0)
 
 
 # --- coverage grids ---------------------------------------------------------
@@ -410,24 +425,35 @@ class CoverageGrid:
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
         """Flat cell index per point; -1 for points outside the annulus."""
+        pts = self._rows(points)
+        return self._cells(pts, self._norms(pts))
+
+    def _rows(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.n:
             raise ValueError(f"points must have {self.n} columns")
-        out = np.full(pts.shape[0], -1, dtype=int)
+        return pts
+
+    @staticmethod
+    def _norms(pts: np.ndarray) -> np.ndarray:
         # a row with a NaN or inf entry has a NaN or inf norm, outside the annulus
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(pts, axis=1)
-        ok = (norms >= self.r_min) & (norms <= self.r_max)
-        if not ok.any():
+            return np.linalg.norm(pts, axis=1)
+
+    def _cells(self, pts: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """cell_indices of the rows pts, given their norms."""
+        out = np.full(pts.shape[0], -1, dtype=int)
+        ok = np.flatnonzero((norms >= self.r_min) & (norms <= self.r_max))
+        if not ok.size:
             return out
-        units = pts[ok] / norms[ok, None]
-        a_idx = self.angular_index(units)
+        r = norms[ok]
+        a_idx = self.angular_index(pts[ok] / r[:, None])
         if self.antipodal:
             a_idx = a_idx % (self.num_angular // 2)
         span = np.log(self.r_max) - np.log(self.r_min)
-        rbin = ((np.log(norms[ok]) - np.log(self.r_min)) / span * self.radial_bins)
+        rbin = ((np.log(r) - np.log(self.r_min)) / span * self.radial_bins)
         rbin = np.minimum(rbin.astype(int), self.radial_bins - 1)
-        out[np.flatnonzero(ok)] = a_idx * self.radial_bins + rbin
+        out[ok] = a_idx * self.radial_bins + rbin
         return out
 
     def params(self) -> dict:
@@ -443,7 +469,13 @@ class CoverageGrid:
 
 @dataclass(frozen=True, eq=False)
 class CoverageReport:
-    """Hit cells of a point cloud on a coverage grid."""
+    """Hit cells of a point cloud on a coverage grid.
+
+    Every point is counted once, by its norm: num_below_annulus below r_min,
+    num_in_annulus in [r_min, r_max], and num_beyond_annulus above r_max or
+    not finite (a row with a NaN or inf entry), so the three add up to
+    num_points.
+    """
 
     hits: np.ndarray
     fraction: float
@@ -452,16 +484,29 @@ class CoverageReport:
     angular_fraction: float
     num_points: int
     num_in_annulus: int
+    num_below_annulus: int
+    num_beyond_annulus: int
     grid_params: dict
 
 
 def coverage(cloud: np.ndarray, grid: CoverageGrid) -> CoverageReport:
-    """Mark the grid cells containing at least one cloud point."""
-    pts = np.atleast_2d(np.asarray(cloud, dtype=float))
-    cells = grid.cell_indices(pts)
-    inside = cells >= 0
+    """Mark the grid cells containing at least one cloud point.
+
+    The cloud is binned in fixed blocks of rows, each block's hits ORed
+    into one table, so the memory coverage needs beyond its input does not
+    grow with the cloud.  Each row's norm is computed once and serves both
+    its cell and the radial counts."""
+    pts = grid._rows(cloud)
     hits = np.zeros(grid.total_cells, dtype=bool)
-    hits[cells[inside]] = True
+    below = inside = 0
+    for start in range(0, len(pts), _COVERAGE_BLOCK):
+        block = pts[start:start + _COVERAGE_BLOCK]
+        norms = grid._norms(block)
+        cells = grid._cells(block, norms)
+        cells = cells[cells >= 0]
+        hits[cells] = True
+        inside += cells.size
+        below += int(np.count_nonzero(norms < grid.r_min))
     ang_hits = hits.reshape(-1, grid.radial_bins).any(axis=1)
     return CoverageReport(
         hits=hits,
@@ -469,8 +514,10 @@ def coverage(cloud: np.ndarray, grid: CoverageGrid) -> CoverageReport:
         hit_count=int(hits.sum()),
         total_cells=grid.total_cells,
         angular_fraction=float(ang_hits.sum() / ang_hits.size),
-        num_points=int(pts.shape[0]),
-        num_in_annulus=int(inside.sum()),
+        num_points=len(pts),
+        num_in_annulus=inside,
+        num_below_annulus=below,
+        num_beyond_annulus=len(pts) - inside - below,
         grid_params=grid.params(),
     )
 

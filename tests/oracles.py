@@ -8,8 +8,9 @@ tight tolerance, the tangent-rank oracle pushes the closure to the sphere
 with its own ``project_sphere`` instead of appending the radial line, and
 the reach-search oracle runs the descent one candidate per ``simulate``
 call instead of in batched tables, the spread-direction oracle rescans every
-chosen point on each pick, and the leaf oracle is the closed-form defining
-function of the radial-graph leaves.  ``split_segments`` cuts a schedule
+chosen point on each pick, the coverage oracle bins the whole cloud in one
+``cell_indices`` call instead of in blocks of rows, and the leaf oracle is
+the closed-form defining function of the radial-graph leaves.  ``split_segments`` cuts a schedule
 into equal pieces, so that ``simulate`` records states inside its segments.
 """
 
@@ -173,6 +174,18 @@ def spread_directions(rng, n, count):
         score = 1.0 - np.max(np.abs(cand @ np.array(chosen).T), axis=1)
         chosen.append(cand[int(np.argmax(score))])
     return np.array(chosen)
+
+
+def one_shot_coverage(cloud, grid):
+    """(hits, hit_count, num_in_annulus, angular_fraction) of the cloud on
+    the grid, from one cell_indices call over the whole cloud."""
+    cells = grid.cell_indices(cloud)
+    inside = cells >= 0
+    hits = np.zeros(grid.total_cells, dtype=bool)
+    hits[cells[inside]] = True
+    ang_hits = hits.reshape(-1, grid.radial_bins).any(axis=1)
+    return (hits, int(hits.sum()), int(inside.sum()),
+            float(ang_hits.sum() / ang_hits.size))
 
 
 def radial_graph_leaf(x, slope):

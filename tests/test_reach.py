@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from bilinctrl.model import (
     ControlSchedule,
     bilinear_system,
     builtin_corpus,
+    random_system,
     smooth_system,
 )
 from bilinctrl.reach import (
@@ -17,16 +22,25 @@ from bilinctrl.reach import (
     sample_attainable,
     simulate,
     spread_directions,
+    _COVERAGE_BLOCK,
     _schedule_from_row,
     _schedule_tables,
 )
 
-from oracles import expm_product, serial_reach_search, smooth_endpoint, split_segments
+from oracles import (
+    expm_product,
+    one_shot_coverage,
+    serial_reach_search,
+    smooth_endpoint,
+    split_segments,
+)
 from oracles import spread_directions as rescan_spread_directions
 
 PJ = builtin_corpus("planar_jd")
 SO3 = builtin_corpus("so3")
 EX1 = builtin_corpus("example1")
+E12_E21 = bilinear_system([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                          name="e12_e21")
 
 
 def test_simulate_quarter_rotation():
@@ -245,17 +259,45 @@ def test_simulate_nonfinite_flow_scale_raises():
         simulate(fam, ControlSchedule(((0, 1.0), (0, 1e300))), [1.0, 1.0])
 
 
-def test_runner_builds_only_the_flows_a_table_uses(monkeypatch):
+def _count_flow_builds(monkeypatch):
     from bilinctrl import reach
 
     built = []
     make = reach._flow
     monkeypatch.setattr(reach, "_flow", lambda m: built.append(m) or make(m))
-    run = reach._runner(SO3)
+    return built
+
+
+def test_runner_builds_only_the_flows_a_table_uses(monkeypatch):
+    from bilinctrl import reach
+
+    so3 = builtin_corpus("so3")  # a new family: no flow of it is built yet
+    built = _count_flow_builds(monkeypatch)
+    run = reach._runner(so3)
     run(np.ones((2, 3)), np.array([[2, 0], [2, 2]]), np.array([[0.5, 0.0], [0.5, 1.0]]))
-    assert [m is SO3.family.matrices[2] for m in built] == [True]
+    assert [m is so3.family.matrices[2] for m in built] == [True]
     run(np.ones((1, 3)), np.array([[1, 2]]), np.array([[0.5, 0.5]]))
     assert len(built) == 2
+
+
+def test_flows_are_built_once_per_family(monkeypatch):
+    built = _count_flow_builds(monkeypatch)
+    spec = bilinear_system(E12_E21.family.matrices)
+    sched = ControlSchedule(((0, 0.5), (1, 0.25), (0, 1.5)))
+    first = simulate(spec, sched, [1.0, 0.5])
+    assert len(built) == 2
+    second = simulate(spec, sched, [1.0, 0.5])
+    assert len(built) == 2
+    assert first.states.tobytes() == second.states.tobytes()
+    # the same matrices in another family build their own flows
+    other = bilinear_system(spec.family.matrices)
+    assert simulate(other, sched, [1.0, 0.5]).states.tobytes() == first.states.tobytes()
+    assert len(built) == 4
+    # the built flows do not keep their family alive
+    family = weakref.ref(other.family)
+    del other
+    gc.collect()
+    assert family() is None
 
 
 def test_degenerate_underflow_reported():
@@ -362,6 +404,30 @@ def test_sampler_endpoints_match_simulator_shift_lz():
         sched = _schedule_from_row(indices[i], durations[i])
         expect = expm_product(shift_lz.family.matrices, sched.segments, x0)
         assert np.linalg.norm(ends[i] - expect) <= 1e-10 * max(1.0, np.linalg.norm(expect))
+
+
+@pytest.mark.parametrize("spec", [SO3, PJ, E12_E21, random_system(5, 2, 0)],
+                         ids=["so3", "planar_jd", "e12_e21", "random5"])
+def test_sampler_boundaries_match_simulator(spec):
+    # the cloud is segment-major: the j-th boundary state of every row that
+    # has one, in row order, then the (j + 1)-th.  so3, planar_jd and
+    # {E12, E21} run bit for bit alike in a table and alone, but for the
+    # sign of a zero.  The random family does not: numpy sends a one-row
+    # product to BLAS gemv and a many-row one to gemm, which round apart,
+    # so its states agree to 1e-10 of their norm.
+    x0 = np.eye(spec.n)[0]
+    cloud = sample_attainable(spec, x0, 200, seed=0)
+    _, indices, durations = _schedule_tables(spec.num_fields, 200, 0, 20, 0.5)
+    rows = [simulate(spec, _schedule_from_row(indices[i], durations[i]), x0).states[1:]
+            for i in range(200)]
+    expect = np.array([r[j] for j in range(20) for r in rows if j < len(r)])
+    assert cloud.shape == expect.shape == (np.count_nonzero(durations > 0.0), spec.n)
+    if spec.name.startswith("random"):
+        gap = np.linalg.norm(cloud - expect, axis=1)
+        assert np.all(gap <= 1e-10 * np.linalg.norm(expect, axis=1))
+    else:
+        same_bits = cloud.view(np.int64) == expect.view(np.int64)
+        assert np.all(same_bits | (cloud == 0.0) & (expect == 0.0))
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
@@ -500,8 +566,63 @@ def test_coverage_counts_only_finite_rows(n, antipodal):
     rep, ref = coverage(cloud, grid), coverage(finite, grid)
     assert rep.num_points == len(finite) + len(bad)
     assert rep.num_in_annulus == ref.num_in_annulus == np.sum((radii >= 0.1) & (radii <= 10.0))
+    assert rep.num_below_annulus == ref.num_below_annulus == np.sum(radii < 0.1)
+    # the 1e200 row and the non-finite rows count as beyond the annulus
+    assert rep.num_beyond_annulus == ref.num_beyond_annulus + len(bad)
+    assert ref.num_beyond_annulus == np.sum(radii > 10.0) + 1
+    for r in (rep, ref):
+        assert r.num_below_annulus + r.num_in_annulus + r.num_beyond_annulus == r.num_points
     assert rep.hit_count == ref.hit_count > 0
     np.testing.assert_array_equal(rep.hits, ref.hits)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _COVERAGE_BLOCK, _COVERAGE_BLOCK + 1,
+                                  3 * _COVERAGE_BLOCK + 77])
+@pytest.mark.parametrize("antipodal", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_blockwise_coverage_matches_one_shot_oracle(n, antipodal, rows):
+    # radii grow along the cloud from below the annulus to beyond it, so each
+    # block hits its own radial bins and every block's hits must be kept
+    grid = CoverageGrid(n, angular_cells=64, radial_bins=16, antipodal=antipodal)
+    rng = np.random.default_rng([n, rows])
+    units = rng.standard_normal((rows, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    cloud = units * np.exp(np.linspace(-3.0, 3.0, rows + 2)[1:-1, None])
+    if rows > _COVERAGE_BLOCK:
+        bad = rng.choice(rows, size=40, replace=False)
+        cloud[bad[:10]] = np.nan
+        cloud[bad[10:20], 0] = np.inf
+        cloud[bad[20:30], -1] = -np.inf
+        cloud[bad[30:]] = 1e200  # a finite row whose norm overflows
+    rep = coverage(cloud, grid)
+    hits, hit_count, in_annulus, ang_fraction = one_shot_coverage(cloud, grid)
+    assert rep.hits.tobytes() == hits.tobytes()
+    assert (rep.hit_count, rep.num_in_annulus, rep.angular_fraction) == \
+        (hit_count, in_annulus, ang_fraction)
+    assert rep.fraction == hit_count / grid.total_cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(cloud, axis=1)
+    assert rep.num_points == rows
+    assert rep.num_below_annulus == np.sum(norms < 0.1)
+    assert rep.num_beyond_annulus == np.sum((norms > 10.0) | np.isnan(norms))
+    assert rep.num_below_annulus + rep.num_in_annulus + rep.num_beyond_annulus == rows
+    if rows > 1:
+        assert rep.num_below_annulus > 0 and rep.num_beyond_annulus > 0 and hit_count > 0
+
+
+def test_coverage_memory_does_not_grow_with_the_cloud():
+    # binning the whole cloud at once held an (in-annulus points x cells)
+    # matrix: 59 MB for a 315k-point n = 5 cloud
+    grid = CoverageGrid(5)
+    cloud = np.random.default_rng(0).standard_normal((320_000, 5))
+    tracemalloc.start()
+    try:
+        rep = coverage(cloud, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.num_in_annulus > 300_000
+    assert peak < 16 * 2**20
 
 
 def test_monotone_family_never_contracts():
