@@ -20,7 +20,7 @@ import numpy as np
 from .matlie import DEFAULT_TOL, LieBasis, check_point, evaluate_at, \
     frobenius_normalize, lie_closure, numerical_rank
 from .model import MatrixFamily, SystemSpec
-from .reach import CoverageGrid, CoverageReport, coverage, sample_attainable
+from .reach import CoverageGrid, CoverageReport, _attainable_blocks, _bin_blocks
 
 MONOTONE_TOL = 1e-12  # symmetric-part eigenvalues within this of 0, relative
 
@@ -265,10 +265,12 @@ def _coverage_grid(spec: SystemSpec, budgets: AnalysisBudgets) -> CoverageGrid:
 
 
 def _reach_evidence(spec: SystemSpec, budgets: AnalysisBudgets) -> CoverageReport:
-    cloud = sample_attainable(
+    """Coverage of the cloud sample_attainable draws from e1, binned block
+    by block as the sampler runs, so no whole cloud is held."""
+    blocks = _attainable_blocks(
         spec, np.eye(spec.n)[0], budgets.reach_budget, budgets.seed,
         max_segments=budgets.max_segments, duration_scale=budgets.duration_scale)
-    return coverage(cloud, _coverage_grid(spec, budgets))
+    return _bin_blocks(blocks, _coverage_grid(spec, budgets))
 
 
 def decide_controllability(spec: SystemSpec,
@@ -282,7 +284,11 @@ def decide_controllability(spec: SystemSpec,
     round cap of 2 n^2, which never binds: each bracketing round that does
     not end the loop admits a new direction of gl(n), so the loop stops
     within n^2 rounds and the closure always converges.  The verdict is
-    undetermined exactly when the coverage stays below the threshold.
+    undetermined exactly when the coverage stays below the threshold.  The
+    coverage evidence is that of sample_attainable's cloud from e1, binned
+    one block of schedule rows at a time as they are sampled: for a bilinear
+    system the memory it takes does not grow with reach_budget (a smooth
+    table runs whole).
     """
     if budgets is None:
         budgets = AnalysisBudgets()

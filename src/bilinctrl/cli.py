@@ -23,7 +23,7 @@ from .foliation import FoliationError, arc_family, orbit_tangent_distribution, \
 from .matlie import DEFAULT_TOL
 from .model import BUILTIN_NAMES, SystemSpec, builtin_corpus, parse_system, \
     serialize_system
-from .reach import CoverageGrid, coverage, sample_attainable
+from .reach import CoverageGrid, _attainable_blocks, _bin_blocks
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -234,18 +234,24 @@ def _csv_rows(rows) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
+def _written(rows, csv):
+    csv.write(_csv_rows(rows))
+    return rows
+
+
 def cmd_reach(args) -> int:
     if args.out is None:
         raise ValueError("reach needs --out DIRECTORY for the cloud and coverage files")
     spec = _load_spec(args)
     x0 = _parse_x0(args.x0, spec.n)
-    cloud = sample_attainable(spec, x0, args.budget, args.seed)
+    blocks = _attainable_blocks(spec, x0, args.budget, args.seed)
     grid = CoverageGrid(spec.n, angular_cells=args.grid,
                         radial_bins=args.radial_bins, antipodal=args.projective)
-    report = coverage(cloud, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "cloud.csv").write_text(_csv_rows(cloud))
+    # each block of the cloud is written out as it is binned
+    with (out / "cloud.csv").open("w") as csv:
+        report = _bin_blocks((_written(block, csv) for block in blocks), grid)
     doc = {
         "report": "attainable-coverage",
         "environment": _environment(args),

@@ -9,10 +9,11 @@ generator), built when a table first uses it and kept with its family;
 smooth rows go through one batched Fehlberg integrator.  Attainable-set
 clouds are produced by a seeded random-schedule sampler whose per-schedule
 randomness is a pure function of (seed, schedule index), so any execution
-order yields the same cloud.  Coverage is measured on angular cells
-(equal-area for n <= 3) crossed with log-radial bins over an annulus, in
-fixed blocks of cloud rows; the cell of -u is always the antipodal partner
-of the cell of u.
+order yields the same cloud; bilinear tables are drawn and run in blocks of
+rows, which coverage can bin as they come.  Coverage is measured on angular
+cells (equal-area for n <= 3) crossed with log-radial bins over an annulus,
+in fixed blocks of cloud rows; the cell of -u is always the antipodal
+partner of the cell of u.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ BLOWUP_NORM = 1e6  # a smooth schedule row stops past this norm
 SMOOTH_TOL = 1e-10
 _DESCENT_BATCH = 32  # reach-search candidates run as one table
 _COVERAGE_BLOCK = 1 << 14  # cloud rows binned at a time
+_SAMPLE_BLOCK = 1 << 12  # bilinear schedule rows sampled at a time
 # the flows built for each matrix family, by generator index; a family is
 # immutable, so its flows stay valid for as long as it lives
 _FAMILY_FLOWS = weakref.WeakKeyDictionary()
@@ -199,9 +201,18 @@ def _runner(spec):
     built when a table first uses its generator and kept with the family,
     so later runners of the same family build it no more.  bounds is a
     view of a segment-major array: each column of boundary states is one
-    contiguous block."""
+    contiguous block.
+
+    The runner's ``block`` is the most rows a sampled table is run in at
+    once: _SAMPLE_BLOCK for a bilinear table, whose rows run independently,
+    and None (the whole table) for a smooth one, because integrate_table
+    steps all rows together and a table split in blocks waits for its
+    slowest row once per block."""
     if not spec.is_bilinear:
-        return lambda *table: integrate_table(spec.fields, *table, BLOWUP_NORM)
+        def run_smooth(*table):
+            return integrate_table(spec.fields, *table, BLOWUP_NORM)
+        run_smooth.block = None
+        return run_smooth
     flows = _FAMILY_FLOWS.setdefault(spec.family, {})
 
     def run(x0s, indices, durations):
@@ -220,6 +231,7 @@ def _runner(spec):
                         x[sel] = flows[k](t[sel], x[sel])
                 bounds[:, j] = x
         return bounds, np.full(rows, segs), np.zeros(rows)
+    run.block = _SAMPLE_BLOCK
     return run
 
 
@@ -260,9 +272,13 @@ def simulate(spec: SystemSpec, schedule: ControlSchedule, x0) -> Trajectory:
 
 # --- random schedule tables -------------------------------------------------
 
-def _schedule_tables(num_fields: int, budget: int, seed: int,
-                     max_segments: int, duration_scale: float):
-    """Draw (counts, indices, durations); row i depends only on (seed, i)."""
+def _schedule_blocks(num_fields: int, budget: int, seed: int, max_segments: int,
+                     duration_scale: float, block: int):
+    """Check the settings, then return an iterator over the random schedule
+    table of ``budget`` rows in blocks of near-equal size, at most ``block``
+    rows each: (counts, indices, durations) per block.  Each block goes on
+    drawing where the one before stopped, so the blocks join into the table
+    drawn in one block, and row i depends only on (seed, i)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if max_segments < 1:
@@ -271,13 +287,27 @@ def _schedule_tables(num_fields: int, budget: int, seed: int,
         raise ValueError("duration_scale must be positive and finite")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    counts = np.random.default_rng([seed, 1]).integers(1, max_segments + 1, size=budget)
-    indices = np.random.default_rng([seed, 2]).integers(
-        0, num_fields, size=(budget, max_segments))
-    durations = np.random.default_rng([seed, 3]).exponential(
-        duration_scale, size=(budget, max_segments))
-    durations[np.arange(max_segments)[None, :] >= counts[:, None]] = 0.0
-    return counts, indices, durations
+    counts_rng, indices_rng, durations_rng = (
+        np.random.default_rng([seed, k]) for k in (1, 2, 3))
+    parts = -(-budget // block)
+
+    def draw():
+        for k in range(parts):
+            rows = (k + 1) * budget // parts - k * budget // parts
+            counts = counts_rng.integers(1, max_segments + 1, size=rows)
+            indices = indices_rng.integers(0, num_fields, size=(rows, max_segments))
+            durations = durations_rng.exponential(duration_scale, size=(rows, max_segments))
+            durations[np.arange(max_segments)[None, :] >= counts[:, None]] = 0.0
+            yield counts, indices, durations
+    return draw()
+
+
+def _schedule_tables(num_fields: int, budget: int, seed: int,
+                     max_segments: int, duration_scale: float):
+    """Draw (counts, indices, durations) in one block; row i depends only on
+    (seed, i)."""
+    return next(_schedule_blocks(num_fields, budget, seed, max_segments,
+                                 duration_scale, budget))
 
 
 def _schedule_from_row(indices_row, durations_row) -> ControlSchedule:
@@ -285,34 +315,59 @@ def _schedule_from_row(indices_row, durations_row) -> ControlSchedule:
     return ControlSchedule(tuple(segs) if segs else ((0, 0.0),))
 
 
+def _attainable_blocks(spec: SystemSpec, x0, budget: int, seed: int,
+                       max_segments: int = 20, duration_scale: float = 0.5,
+                       boundaries: bool = True):
+    """Check the settings, then return an iterator over the points of
+    sample_attainable, one array per block of schedule rows that the
+    system's runner takes at once (see _runner): with boundaries, the
+    block's boundary states in segment-major order, otherwise its rows'
+    endpoints.  Only one block's tables and boundary states are alive at a
+    time."""
+    x0 = check_point(x0, spec.n, "x0")
+    run = _runner(spec)
+    tables = _schedule_blocks(spec.num_fields, budget, seed, max_segments,
+                              duration_scale, run.block or budget)
+
+    def points():
+        for _, indices, durations in tables:
+            bounds, _, _ = run(np.broadcast_to(x0, (len(durations), x0.size)),
+                               indices, durations)
+            if boundaries:
+                # a view for a bilinear table, whose bounds are segment-major already
+                by_segment = bounds.transpose(1, 0, 2).reshape(-1, x0.size)
+                yield np.compress((durations.T > 0.0).ravel(), by_segment, axis=0)
+            else:
+                yield bounds[:, -1].copy()  # a view would keep all of bounds alive
+    return points()
+
+
 def sample_attainable(spec: SystemSpec, x0, budget: int, seed: int,
                       max_segments: int = 20, duration_scale: float = 0.5,
                       boundaries: bool = True) -> np.ndarray:
     """Attainable points visited by ``budget`` random nonnegative-time
-    schedules from x0.
+    schedules from x0, as an array that owns its data.
 
     Segment counts are uniform on [1, max_segments], field indices uniform,
     durations exponential with mean duration_scale.  With boundaries (the
     default) the cloud holds every segment-boundary state; each such point is
     the endpoint of a sampled schedule prefix, so all cloud points are
     attainable.  With boundaries=False only the final endpoints are returned
-    (exactly ``budget`` points).  Deterministic for a fixed seed.  A smooth
-    row stops at its first state past BLOWUP_NORM, so a smooth cloud holds
-    no point beyond one step past that norm, and a CoverageGrid whose r_max
-    exceeds BLOWUP_NORM sees only those stopped rows out there.  The
-    boundary cloud is segment-major: all rows' first boundaries in row
-    order, then their second, and so on, each after a positive duration;
-    it is gathered from the table in one pass.
+    (exactly ``budget`` points, in row order).  Deterministic for a fixed
+    seed.  A smooth row stops at its first state past BLOWUP_NORM, so a
+    smooth cloud holds no point beyond one step past that norm, and a
+    CoverageGrid whose r_max exceeds BLOWUP_NORM sees only those stopped rows
+    out there.
+
+    A bilinear table is drawn and run in blocks of near-equal size, at most
+    _SAMPLE_BLOCK rows each, and a smooth table in one block.  The boundary
+    cloud is block-major and segment-major within a block: the block's
+    first boundaries in row order, then its second, and so on, each after a
+    positive duration.  The blocks join into the table drawn in one piece,
+    so the cloud holds the same points whatever the block size.
     """
-    x0 = check_point(x0, spec.n, "x0")
-    _, indices, durations = _schedule_tables(
-        spec.num_fields, budget, seed, max_segments, duration_scale)
-    bounds, _, _ = _runner(spec)(np.broadcast_to(x0, (budget, x0.size)), indices, durations)
-    if not boundaries:
-        return bounds[:, -1]
-    # a view for a bilinear table, whose bounds are segment-major already
-    by_segment = bounds.transpose(1, 0, 2).reshape(-1, x0.size)
-    return np.compress((durations.T > 0.0).ravel(), by_segment, axis=0)
+    return np.concatenate(list(_attainable_blocks(
+        spec, x0, budget, seed, max_segments, duration_scale, boundaries)))
 
 
 # --- coverage grids ---------------------------------------------------------
@@ -489,24 +544,23 @@ class CoverageReport:
     grid_params: dict
 
 
-def coverage(cloud: np.ndarray, grid: CoverageGrid) -> CoverageReport:
-    """Mark the grid cells containing at least one cloud point.
-
-    The cloud is binned in fixed blocks of rows, each block's hits ORed
-    into one table, so the memory coverage needs beyond its input does not
-    grow with the cloud.  Each row's norm is computed once and serves both
-    its cell and the radial counts."""
-    pts = grid._rows(cloud)
+def _bin_blocks(blocks, grid: CoverageGrid) -> CoverageReport:
+    """The coverage report of the rows of all the arrays in blocks, taken
+    in turn and each binned in slices of _COVERAGE_BLOCK rows whose hits are
+    ORed into one table."""
     hits = np.zeros(grid.total_cells, dtype=bool)
-    below = inside = 0
-    for start in range(0, len(pts), _COVERAGE_BLOCK):
-        block = pts[start:start + _COVERAGE_BLOCK]
-        norms = grid._norms(block)
-        cells = grid._cells(block, norms)
-        cells = cells[cells >= 0]
-        hits[cells] = True
-        inside += cells.size
-        below += int(np.count_nonzero(norms < grid.r_min))
+    points = below = inside = 0
+    for block in blocks:
+        pts = grid._rows(block)
+        points += len(pts)
+        for start in range(0, len(pts), _COVERAGE_BLOCK):
+            rows = pts[start:start + _COVERAGE_BLOCK]
+            norms = grid._norms(rows)
+            cells = grid._cells(rows, norms)
+            cells = cells[cells >= 0]
+            hits[cells] = True
+            inside += cells.size
+            below += int(np.count_nonzero(norms < grid.r_min))
     ang_hits = hits.reshape(-1, grid.radial_bins).any(axis=1)
     return CoverageReport(
         hits=hits,
@@ -514,12 +568,25 @@ def coverage(cloud: np.ndarray, grid: CoverageGrid) -> CoverageReport:
         hit_count=int(hits.sum()),
         total_cells=grid.total_cells,
         angular_fraction=float(ang_hits.sum() / ang_hits.size),
-        num_points=len(pts),
+        num_points=points,
         num_in_annulus=inside,
         num_below_annulus=below,
-        num_beyond_annulus=len(pts) - inside - below,
+        num_beyond_annulus=points - inside - below,
         grid_params=grid.params(),
     )
+
+
+def coverage(cloud: np.ndarray, grid: CoverageGrid) -> CoverageReport:
+    """Mark the grid cells containing at least one cloud point.
+
+    The cloud is binned in fixed blocks of rows, each block's hits ORed
+    into one table, so the memory coverage needs beyond its input does not
+    grow with the cloud.  Each row's norm is computed once and serves both
+    its cell and the radial counts.  The sampled evidence of
+    decide_controllability and the ``reach`` command go through the same
+    binning loop one block of schedule rows at a time, so they never hold a
+    whole cloud."""
+    return _bin_blocks([cloud], grid)
 
 
 # --- targeted reachability --------------------------------------------------

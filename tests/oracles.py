@@ -9,9 +9,12 @@ with its own ``project_sphere`` instead of appending the radial line, and
 the reach-search oracle runs the descent one candidate per ``simulate``
 call instead of in batched tables, the spread-direction oracle rescans every
 chosen point on each pick, the coverage oracle bins the whole cloud in one
-``cell_indices`` call instead of in blocks of rows, and the leaf oracle is
-the closed-form defining function of the radial-graph leaves.  ``split_segments`` cuts a schedule
-into equal pieces, so that ``simulate`` records states inside its segments.
+``cell_indices`` call instead of in blocks of rows, the one-table sampling
+oracle draws the whole schedule table at once and runs it in one call
+instead of in blocks of rows, and the leaf oracle is the closed-form
+defining function of the radial-graph leaves.  ``split_segments`` cuts a
+schedule into equal pieces, so that ``simulate`` records states inside its
+segments.
 """
 
 from fractions import Fraction
@@ -23,6 +26,7 @@ from scipy.integrate import solve_ivp
 from bilinctrl.model import ControlSchedule
 from bilinctrl.reach import (
     _mutate_schedule,
+    _runner,
     _schedule_from_row,
     _schedule_tables,
     sample_attainable,
@@ -186,6 +190,22 @@ def one_shot_coverage(cloud, grid):
     ang_hits = hits.reshape(-1, grid.radial_bins).any(axis=1)
     return (hits, int(hits.sum()), int(inside.sum()),
             float(ang_hits.sum() / ang_hits.size))
+
+
+def one_table_sample(spec, x0, budget, seed, max_segments=20, duration_scale=0.5):
+    """sample_attainable's (boundary cloud, endpoints) from its schedule
+    table drawn in one piece and run through one runner call: the cloud in
+    segment-major order, the endpoints in row order."""
+    x0 = np.asarray(x0, dtype=float)
+    counts = np.random.default_rng([seed, 1]).integers(1, max_segments + 1, size=budget)
+    indices = np.random.default_rng([seed, 2]).integers(
+        0, spec.num_fields, size=(budget, max_segments))
+    durations = np.random.default_rng([seed, 3]).exponential(
+        duration_scale, size=(budget, max_segments))
+    durations[np.arange(max_segments)[None, :] >= counts[:, None]] = 0.0
+    bounds = _runner(spec)(np.broadcast_to(x0, (budget, x0.size)), indices, durations)[0]
+    cloud = bounds.transpose(1, 0, 2)[durations.T > 0.0]
+    return cloud, bounds[:, -1].copy()
 
 
 def radial_graph_leaf(x, slope):

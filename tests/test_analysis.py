@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,18 @@ def test_decide_rejects_coverage_threshold_outside_unit_interval(threshold):
                               coverage_threshold=threshold)
     with pytest.raises(ValueError, match="coverage_threshold"):
         decide_controllability(PJ, budgets)
+
+
+@pytest.mark.parametrize("reach_budget", [30000, 100000])
+def test_decide_memory_does_not_grow_with_the_budget(reach_budget):
+    # the coverage evidence is binned one block of sampled schedule rows at
+    # a time; holding the whole cloud took a 157.5 MB peak at budget 100000
+    budgets = AnalysisBudgets(samples=2000, reach_budget=reach_budget)
+    tracemalloc.start()
+    try:
+        verdict = decide_controllability(random_system(5, 2, 0), budgets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.evidence.num_points > 10 * reach_budget
+    assert peak < 16 * 2**20

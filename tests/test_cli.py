@@ -147,6 +147,24 @@ def test_reach_writes_cloud_and_coverage(tmp_path):
     assert doc["coverage"]["grid"]["radial_bins"] == 16
 
 
+def test_reach_streams_blocks_into_cloud_and_coverage(tmp_path):
+    # the command bins and writes the cloud block by block; its files are
+    # those of the whole cloud sampled at once
+    from bilinctrl.cli import _csv_rows, _evidence_doc
+    from bilinctrl.reach import _SAMPLE_BLOCK, CoverageGrid, coverage, sample_attainable
+
+    budget = 2 * _SAMPLE_BLOCK + 5
+    out = tmp_path / "run"
+    assert run("reach", "--builtin", "so3", "--budget", str(budget), "--seed", "2",
+               "--grid", "18", "--projective", "--out", str(out)) == EXIT_OK
+    cloud = sample_attainable(builtin_corpus("so3"), [1.0, 0.0, 0.0], budget, seed=2)
+    assert (out / "cloud.csv").read_text() == _csv_rows(cloud)
+    report = coverage(cloud, CoverageGrid(3, angular_cells=18, antipodal=True))
+    doc = json.loads((out / "coverage.json").read_text())
+    assert doc["coverage"] == json.loads(json.dumps(_evidence_doc(report)))
+    assert doc["coverage"]["points"] == len(cloud) > 10 * budget
+
+
 def test_reach_overflowing_flows_are_silent(tmp_path, capsys):
     # exp(t diag(400, -400)) overflows on some sampled rows: they turn
     # non-finite and leave the annulus without a warning

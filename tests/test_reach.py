@@ -23,6 +23,8 @@ from bilinctrl.reach import (
     simulate,
     spread_directions,
     _COVERAGE_BLOCK,
+    _SAMPLE_BLOCK,
+    _schedule_blocks,
     _schedule_from_row,
     _schedule_tables,
 )
@@ -30,6 +32,7 @@ from bilinctrl.reach import (
 from oracles import (
     expm_product,
     one_shot_coverage,
+    one_table_sample,
     serial_reach_search,
     smooth_endpoint,
     split_segments,
@@ -41,6 +44,9 @@ SO3 = builtin_corpus("so3")
 EX1 = builtin_corpus("example1")
 E12_E21 = bilinear_system([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
                           name="e12_e21")
+SHIFT_LZ = bilinear_system([[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                            [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+                           name="shift_lz")
 
 
 def test_simulate_quarter_rotation():
@@ -428,6 +434,68 @@ def test_sampler_boundaries_match_simulator(spec):
     else:
         same_bits = cloud.view(np.int64) == expect.view(np.int64)
         assert np.all(same_bits | (cloud == 0.0) & (expect == 0.0))
+
+
+@pytest.mark.parametrize("block", [1, 7, _SAMPLE_BLOCK])
+@pytest.mark.parametrize("budget", [1, 7, 8, 3 * 7 + 2, _SAMPLE_BLOCK + 1,
+                                    3 * _SAMPLE_BLOCK + 77])
+def test_schedule_blocks_join_into_one_table(budget, block):
+    # consecutive draws continue one stream, so the blocks are the table
+    # drawn at once; blocks differ in size by at most one row, so no block is
+    # a tiny remainder
+    blocks = list(_schedule_blocks(3, budget, 4, 20, 0.5, block))
+    sizes = [len(b[0]) for b in blocks]
+    assert sum(sizes) == budget and max(sizes) <= block
+    assert len(blocks) == -(-budget // block) and max(sizes) - min(sizes) <= 1
+    for got, want in zip(zip(*blocks), _schedule_tables(3, budget, 4, 20, 0.5)):
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def _sorted_bits(cloud):
+    """The rows of cloud in the order of their bit patterns."""
+    return cloud[np.lexsort(cloud.view(np.int64).T[::-1])]
+
+
+@pytest.mark.parametrize("spec", [SO3, PJ, E12_E21, SHIFT_LZ, random_system(5, 2, 0)],
+                         ids=["so3", "planar_jd", "e12_e21", "shift_lz", "random5"])
+def test_blockwise_sampling_matches_one_table_oracle(spec):
+    # a bilinear table runs in blocks of near-equal size; the blocks hold the
+    # same points, bit for bit, as the table run in one call, and the
+    # endpoints keep row order
+    budget = 3 * _SAMPLE_BLOCK + 77
+    x0 = np.eye(spec.n)[0]
+    cloud, ends = one_table_sample(spec, x0, budget, seed=1)
+    got = sample_attainable(spec, x0, budget, seed=1)
+    assert got.shape == cloud.shape
+    assert _sorted_bits(got).tobytes() == _sorted_bits(cloud).tobytes()
+    got_ends = sample_attainable(spec, x0, budget, seed=1, boundaries=False)
+    assert got_ends.tobytes() == ends.tobytes()
+
+
+@pytest.mark.parametrize("spec, x0, budget", [(SO3, [1.0, 0.0, 0.0], 10000),
+                                              (SO3, [1.0, 0.0, 0.0], 100),
+                                              (EX1, [0.0, 1.0], 30)],
+                         ids=["so3-blocks", "so3-one-block", "example1"])
+@pytest.mark.parametrize("boundaries", [False, True])
+def test_sampler_returns_arrays_that_own_their_data(spec, x0, budget, boundaries):
+    # the endpoints used to be a view of the whole boundary table
+    out = sample_attainable(spec, x0, budget, seed=0, boundaries=boundaries)
+    assert out.flags.owndata and out.base is None
+
+
+def test_smooth_tables_run_whole(monkeypatch):
+    # integrate_table steps all rows together, so a smooth table above one
+    # block still runs as one table
+    from bilinctrl import reach
+
+    tables = []
+    integrate = reach.integrate_table
+    monkeypatch.setattr(reach, "integrate_table",
+                        lambda fields, x0s, *rest: tables.append(len(x0s))
+                        or integrate(fields, x0s, *rest))
+    budget = _SAMPLE_BLOCK + 1
+    sample_attainable(EX1, [0.0, 1.0], budget, seed=0, max_segments=2)
+    assert tables == [budget]
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
