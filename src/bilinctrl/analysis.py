@@ -8,6 +8,15 @@ search scans seeded sphere samples and then runs projected gradient descent
 of the smallest relevant singular value from the lowest of them, all at
 once, and reports "undetermined" rather than certifying a universal rank
 condition.
+
+Where the closure contains sl(n) (contains_sl) there is no drop to find, and
+the search evaluates one point instead.  For a Frobenius-orthonormal basis
+b_k of gl(n) the closure columns C(x) = [b_k x] satisfy C C^T = |x|^2 I, and
+for one of sl(n) C C^T = |x|^2 I - x x^T / n.  On the unit sphere the n-th
+singular value is then 1 for gl(n) and sqrt(1 - 1/n) for sl(n); with the
+radial column x added it is 1 for both (sqrt(2) for gl(1)).  It is the same
+at every point, so one evaluation gives what the search would find, up to
+rounding, and the witness test on it gives the search's answer.
 """
 
 from __future__ import annotations
@@ -23,6 +32,9 @@ from .model import MatrixFamily, SystemSpec
 from .reach import CoverageGrid, CoverageReport, _attainable_blocks, _bin_blocks
 
 MONOTONE_TOL = 1e-12  # symmetric-part eigenvalues within this of 0, relative
+# |trace| at or below this makes a unit-norm basis element traceless; fixed
+# rather than the closure's tol, which may be as loose as 0.5
+TRACE_ZERO = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +149,18 @@ def transversality_at(spec: SystemSpec, x, tol: float = DEFAULT_TOL,
     return bool(numerical_rank(np.linalg.svd(cols, compute_uv=False), tol) == spec.n)
 
 
+def contains_sl(basis: LieBasis) -> bool:
+    """Does the closure contain sl(n)?  It does when it is all of gl(n)
+    (dim n^2), or when dim is n^2 - 1 and every basis element is traceless:
+    the span is then sl(n) itself.  Any other codimension-one subalgebra
+    contains the identity (for n = 2 these are the conjugates of the upper
+    triangular matrices; for n >= 3 there are none), so the squares of its
+    basis traces sum to n."""
+    full = basis.n * basis.n
+    return basis.dim == full or (basis.dim == full - 1 and all(
+        abs(np.trace(b)) <= TRACE_ZERO for b in basis.basis))
+
+
 _PRESCAN = 512
 _ANGULAR_RESTARTS = 8
 _FIRST_STEP = 0.1
@@ -169,7 +193,14 @@ def _min_sigma_search(basis: LieBasis, pts: np.ndarray, restarts: int,
     normalized tangent steps of its own length, which doubles after a
     decrease and halves otherwise, until every step is below _MIN_STEP or
     _MAX_STEPS have passed.  Returns (min_sigma, argmin, sigma_max there).
+
+    When the closure contains sl(n), sigma_n is the same at every unit point
+    (see the module docstring), so only the first row is evaluated and no
+    descent runs: the value is the one the search would find, up to
+    rounding, and no witness it could find is lost.
     """
+    if contains_sl(basis):
+        pts, restarts = pts[:1], 0
     sn, smax, grad = _sigma_n(basis, pts, radial)
     keep = np.argsort(sn, kind="stable")[:max(restarts, 1)]
     x, f, fmax, g = pts[keep], sn[keep], smax[keep], grad[keep]

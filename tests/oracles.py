@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's numerical code paths: the closure
 oracle works in exact rational arithmetic with Gaussian elimination, the
-grid oracle scans the unit circle densely, the flow oracle multiplies plain
-scipy matrix exponentials, the smooth-flow oracle runs scipy's DOP853 at a
-tight tolerance, the tangent-rank oracle pushes the closure to the sphere
+grid oracles scan the unit circle and a Fibonacci lattice on the sphere
+densely, the flow oracle multiplies plain scipy matrix exponentials, the
+smooth-flow oracle runs scipy's DOP853 at a tight tolerance, the tangent-rank oracle pushes the closure to the sphere
 with its own ``project_sphere`` instead of appending the radial line, and
 the reach-search oracle runs the descent one candidate per ``simulate``
 call instead of in batched tables, the spread-direction oracle rescans every
@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 from scipy.integrate import solve_ivp
 
 from bilinctrl.model import ControlSchedule
@@ -110,6 +111,41 @@ def circle_min_sigma(basis_mats, n, angles=3600):
         sigma = s[n - 1] if s.size >= n else 0.0
         best = min(best, sigma)
     return best
+
+
+def fibonacci_sphere(n, count):
+    """count points spread evenly over the unit sphere in R^n (n >= 3): the
+    Fibonacci lattice for n = 3 (heights (2i + 1)/count - 1, longitudes i
+    golden turns apart), and for larger n its Kronecker generalization:
+    coordinate 0 at (i + 1/2)/count and coordinate k at frac(i / g^k), with
+    g the positive root of g^n = g + 1, pushed through the inverse normal
+    CDF and normalized."""
+    assert n >= 3
+    i = np.arange(count)
+    if n == 3:
+        z = (2 * i + 1) / count - 1.0
+        phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+        rho = np.sqrt(1.0 - z * z)
+        return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    g = 2.0
+    for _ in range(100):
+        g = (1.0 + g) ** (1.0 / n)
+    u = np.column_stack([(i + 0.5) / count] +
+                        [np.mod(0.5 + i / g**k, 1.0) for k in range(1, n)])
+    x = scipy.special.ndtri(u)
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def sphere_min_sigma(basis_mats, n, count=20000, radial=False):
+    """Smallest n-th singular value of the columns m @ x (with radial, also
+    x itself) over the fibonacci_sphere lattice: a dense scan, with no
+    descent and none of the library's search code."""
+    x = fibonacci_sphere(n, count)
+    cols = [x @ np.asarray(m, dtype=float).T for m in basis_mats]
+    if radial:
+        cols.append(x)
+    s = np.linalg.svd(np.stack(cols, axis=2), compute_uv=False)
+    return float(s[:, n - 1].min())
 
 
 def expm_product(matrices, segments, x0):

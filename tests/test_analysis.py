@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bilinctrl import analysis
 from bilinctrl.analysis import (
     AnalysisBudgets,
     LarcFailure,
@@ -18,7 +19,12 @@ from bilinctrl.matlie import evaluate_at, lie_closure
 from bilinctrl.model import ControlSchedule, bilinear_system, builtin_corpus, random_system
 from bilinctrl.reach import simulate
 
-from oracles import circle_min_sigma, projected_tangent_rank, split_segments
+from oracles import (
+    circle_min_sigma,
+    projected_tangent_rank,
+    sphere_min_sigma,
+    split_segments,
+)
 
 SO3 = builtin_corpus("so3")
 PJ = builtin_corpus("planar_jd")
@@ -95,11 +101,14 @@ def test_sphere_search_matches_circle_oracle_where_sigma_varies():
 
 
 # Rank drops on thin sets: {diag(1, -1), E12} only on the line x2 = 0,
-# {diag(1, 1, 0), L_z, diag(0, 0, 1)} on the plane x3 = 0.
+# {diag(1, 1, 0), L_z, diag(0, 0, 1)} on the plane x3 = 0, and the upper
+# triangular {E11, E22, E12} on x2 = 0 too: its dim is 3 = n^2 - 1, but it
+# is not sl(2), so a test on the dimension alone must not skip its search.
 THIN = (
     [np.diag([1.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]]],
     [np.diag([1.0, 1.0, 0.0]), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
      np.diag([0.0, 0.0, 1.0])],
+    [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [[0.0, 1.0], [0.0, 0.0]]],
 )
 
 
@@ -117,8 +126,100 @@ def test_min_rank_descent_finds_thin_rank_drops():
             cols = np.column_stack([b @ res.argmin for b in basis.basis])
             s = np.linalg.svd(cols, compute_uv=False)
             assert s[spec.n - 1] <= 1e-9 * s[0]
+        assert not analysis.contains_sl(basis)
+        verdict = decide_controllability(spec, AnalysisBudgets(samples=500))
+        assert verdict.conclusion == "not_controllable"
+        assert isinstance(verdict.certificate, LarcFailure)
     thin2 = bilinear_system(THIN[0])
     assert angular_accessibility(thin2, samples=400, seed=0).status == "inaccessible"
+
+
+def _count_sigma_calls(monkeypatch):
+    calls = []
+    sigma_n = analysis._sigma_n
+
+    def counted(basis, pts, radial):
+        calls.append(len(pts))
+        return sigma_n(basis, pts, radial)
+
+    monkeypatch.setattr(analysis, "_sigma_n", counted)
+    return calls
+
+
+def _traceless_pair(seed, p):
+    """A random traceless 3 x 3 pair, conjugated by p."""
+    a = np.random.default_rng(seed).standard_normal((2, 3, 3))
+    a -= np.trace(a, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
+    return [p @ m @ np.linalg.inv(p) for m in a]
+
+
+def test_closures_containing_sl_take_one_evaluation(monkeypatch):
+    # On the unit sphere sigma_n of an orthonormal closure basis is 1 for
+    # gl(n) and sqrt(1 - 1/n) for sl(n); with the radial column it is 1
+    # (sqrt(2) for gl(1)).  Each stage evaluates one point and gets it.  The
+    # diagonal P of condition 1e3 keeps this pair's closure traces below
+    # 1e-12; it does so for about half of random pairs, and a dense P of
+    # that condition for none (see test_contains_sl_threshold_is_fixed).
+    calls = _count_sigma_calls(monkeypatch)
+    cases = [(random_system(n, 2, 300 + n).family.matrices, 1.0) for n in range(1, 6)]
+    cases.append((PJ.family.matrices, np.sqrt(0.5)))
+    cases.append((_traceless_pair(0, np.diag([1.0, 10**1.5, 1e3])), np.sqrt(2 / 3)))
+    for mats, rank_sigma in cases:
+        spec = bilinear_system(list(mats))
+        basis = lie_closure(spec.family.matrices)
+        assert analysis.contains_sl(basis)
+        calls.clear()
+        mr = min_rank_search(spec, seed=1, basis=basis)
+        assert calls == [1]
+        assert abs(mr.min_sigma - rank_sigma) <= 1e-12 and not mr.is_witness
+        calls.clear()
+        ang = angular_accessibility(spec, samples=1000, seed=1, basis=basis)
+        assert calls == [1]
+        radial_sigma = np.sqrt(2.0) if spec.n == 1 else 1.0
+        assert abs(ang.min_sigma - radial_sigma) <= 1e-12
+        assert ang.status == "accessible"
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_sl_closure_sigma_is_constant_on_the_sphere(n):
+    # the one evaluated point agrees with a dense lattice scan of the sphere
+    gl = lie_closure(random_system(n, 2, 7).family.matrices)
+    sl = lie_closure([m - np.trace(m) / n * np.eye(n)
+                      for m in random_system(n, 2, 8).family.matrices])
+    assert gl.dim == n * n and sl.dim == n * n - 1
+    for basis in (gl, sl):
+        spec = bilinear_system(list(basis.basis))
+        mr = min_rank_search(spec, seed=2, basis=basis)
+        assert abs(mr.min_sigma - sphere_min_sigma(basis.basis, n)) <= 1e-12
+        ang = angular_accessibility(spec, samples=500, seed=2, basis=basis)
+        assert abs(ang.min_sigma - sphere_min_sigma(basis.basis, n, radial=True)) <= 1e-12
+
+
+def test_contains_sl_threshold_is_fixed(monkeypatch):
+    # At tol 0.5 the closure of {diag(1, -1), E12, E21 + I / 4} stops at
+    # dim 3 with basis traces 0, 0 and 0.471: a threshold of tol would take
+    # it for sl(2), whose sigma_2 is 0.707, while its own dips to 0.5205
+    calls = _count_sigma_calls(monkeypatch)
+    spec = bilinear_system([np.diag([1.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]],
+                            [[0.25, 0.0], [1.0, 0.25]]])
+    basis = lie_closure(spec.family.matrices, tol=0.5)
+    assert basis.dim == 3 and not analysis.contains_sl(basis)
+    mr = min_rank_search(spec, seed=0, tol=0.5, basis=basis)
+    assert len(calls) > 1
+    assert mr.min_sigma == pytest.approx(circle_min_sigma(basis.basis, 2), rel=1e-6)
+    # Conjugating by a dense P of condition 1e3 leaves the closure's traces
+    # near 1e-10, above the threshold: the search then runs in full and
+    # still lands on the sl(3) value
+    calls.clear()
+    rng = np.random.default_rng(4)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    mats = _traceless_pair(1, q1 @ np.diag([1.0, 10**1.5, 1e3]) @ q2)
+    spec = bilinear_system(mats)
+    basis = lie_closure(spec.family.matrices)
+    assert basis.dim == 8 and not analysis.contains_sl(basis)
+    mr = min_rank_search(spec, seed=0, basis=basis)
+    assert len(calls) > 1 and not mr.is_witness
+    assert mr.min_sigma == pytest.approx(np.sqrt(2 / 3), abs=1e-8)
 
 
 def test_min_rank_identity_only():
