@@ -244,18 +244,24 @@ def min_rank_search(spec: SystemSpec, restarts: int = 12, seed: int = 0,
 def monotone_norm_certificate(family: MatrixFamily) -> MonotoneNorm | None:
     """Certificate that |x(t)| is monotone along every trajectory, if any.
 
-    Symmetric-part eigenvalues are compared against MONOTONE_TOL times the
-    norm of their generator; the raw eigenvalues are recorded.
+    The signs are decided on the symmetric part of each Frobenius-normalized
+    generator, against MONOTONE_TOL, so they do not depend on its scale.  The
+    raw eigenvalues are recorded, and no certificate is issued unless all of
+    them are finite.
     """
-    eigs = [np.linalg.eigvalsh((m + m.T) / 2.0) for m in family.matrices]
-    slack = [MONOTONE_TOL * frobenius_normalize(m)[1] for m in family.matrices]
-    if all(np.max(np.abs(e)) <= s for e, s in zip(eigs, slack)):
+    units = [frobenius_normalize(m)[0] for m in family.matrices]
+    signs = np.concatenate([np.linalg.eigvalsh(u / 2.0 + u.T / 2.0) for u in units])
+    if np.max(np.abs(signs)) <= MONOTONE_TOL:
         direction = "constant"
-    elif all(e.min() >= -s for e, s in zip(eigs, slack)):
+    elif signs.min() >= -MONOTONE_TOL:
         direction = "nondecreasing"
-    elif all(e.max() <= s for e, s in zip(eigs, slack)):
+    elif signs.max() <= MONOTONE_TOL:
         direction = "nonincreasing"
     else:
+        return None
+    # m / 2 + m.T / 2 is (m + m.T) / 2 to the bit, without the overflow
+    eigs = [np.linalg.eigvalsh(m / 2.0 + m.T / 2.0) for m in family.matrices]
+    if not all(np.all(np.isfinite(e)) for e in eigs):
         return None
     return MonotoneNorm(direction, tuple(tuple(float(v) for v in e) for e in eigs))
 

@@ -2,10 +2,12 @@
 and the library's one matrix exponential, batched over time slices.
 
 Square real matrices are treated as vectors in R^(n*n) under the Frobenius
-inner product.  Spans are decided numerically with a relative singular-value
-cutoff; the default tolerance is deliberately loose compared to machine
-epsilon so that closures of well-scaled integer generators are exact in
-practice.
+inner product.  Spans are decided numerically with a relative cutoff: on
+residuals taken largest first in the closure, on singular values at a point;
+the default tolerance is deliberately loose compared to machine epsilon so
+that closures of well-scaled integer generators are exact in practice.  The
+exponential is built once per matrix and applied to many time slices; reach
+builds the flow of each defective generator on it, once per schedule runner.
 """
 
 from __future__ import annotations
@@ -101,11 +103,15 @@ def lie_closure(generators, tol: float = DEFAULT_TOL, depth_cap: int | None = No
     """Orthonormal basis of the smallest bracket-closed span of the generators.
 
     Generators are scaled to unit Frobenius norm, so the admission test does
-    not depend on their relative scale.  Breadth-first bracketing of basis
-    pairs; a candidate direction is admitted only when its residual after
-    projection onto the current span exceeds ``tol`` times the largest matrix
-    norm seen; ``tol`` must lie in (0, 1).  The ordering (generator index, then discovery order) is
-    deterministic so results are reproducible.  ``depth_cap`` bounds the
+    not depend on their relative scale.  Breadth-first rounds: each round
+    brackets the whole basis with the directions the previous round
+    admitted, in one batched product, and projects the current span out of
+    all those brackets at once.  Directions are then admitted largest
+    residual first (column-pivoted Gram-Schmidt, the rank-revealing order),
+    each admission a rank-one update of the remaining candidates, while the
+    largest residual exceeds ``tol`` times the largest candidate norm seen;
+    ``tol`` must lie in (0, 1).  The basis is ordered by round, then largest
+    residual first, so results are reproducible.  ``depth_cap`` bounds the
     number of bracketing rounds (default 2*n*n).
     """
     gens = list(generators)
@@ -121,50 +127,40 @@ def lie_closure(generators, tol: float = DEFAULT_TOL, depth_cap: int | None = No
     if depth_cap is None:
         depth_cap = 2 * n * n
 
-    mats = [frobenius_normalize(m)[0] for m in mats]
-    basis_vecs: list[np.ndarray] = []
-    scale = max(float(np.linalg.norm(m)) for m in mats)
-
-    def admit(mat) -> bool:
-        nonlocal scale
-        v = np.asarray(mat, dtype=float).reshape(-1)
-        scale = max(scale, float(np.linalg.norm(v)))
-        r = v.copy()
-        # Two modified Gram-Schmidt passes keep the basis orthonormal to
-        # machine precision even after many admissions.
+    basis = np.empty((0, n * n))
+    cands = np.array([frobenius_normalize(m)[0].reshape(-1) for m in mats])
+    scale = 0.0
+    depth = rounds = 0
+    while True:
+        scale = max(scale, float(np.linalg.norm(cands, axis=1).max(initial=0.0)))
+        # two projections remove the span to machine precision
         for _ in range(2):
-            for b in basis_vecs:
-                r -= (b @ r) * b
-        res = float(np.linalg.norm(r))
-        if scale > 0 and res > tol * scale:
-            basis_vecs.append(r / res)
-            return True
-        return False
-
-    for m in mats:
-        admit(m)
-
-    depth = 0
-    rounds = 0
-    frontier = list(range(len(basis_vecs)))
-    while frontier and len(basis_vecs) < n * n and rounds < depth_cap:
-        new: list[int] = []
-        for j in frontier:
-            bj = basis_vecs[j].reshape(n, n)
-            for i in range(j):
-                bi = basis_vecs[i].reshape(n, n)
-                if admit(bi @ bj - bj @ bi):
-                    new.append(len(basis_vecs) - 1)
-        rounds += 1
-        if new:
+            cands = cands - (cands @ basis.T) @ basis
+        start = len(basis)
+        res = np.linalg.norm(cands, axis=1)
+        while len(basis) < n * n and res.max(initial=0.0) > tol * scale:
+            v = cands[np.argmax(res)]
+            # a small residual has lost orthogonality in rounding: project again
+            v = v - (basis @ v) @ basis
+            v = v / np.linalg.norm(v)
+            basis = np.vstack([basis, v])
+            cands = cands - np.outer(cands @ v, v)
+            res = np.linalg.norm(cands, axis=1)
+        if len(basis) > start:
             depth = rounds
-        frontier = new
+        if len(basis) in (start, n * n) or rounds == depth_cap:
+            break
+        # [b_i, b_j] for each b_j the round admitted and each earlier b_i
+        sq = basis.reshape(-1, n, n)
+        new = sq[start:, None]
+        earlier = np.arange(len(sq)) < np.arange(start, len(sq))[:, None]
+        cands = (sq @ new - new @ sq)[earlier].reshape(-1, n * n)
+        rounds += 1
 
-    converged = (not frontier) or len(basis_vecs) == n * n
-    basis = tuple(v.reshape(n, n) for v in basis_vecs)
-    for b in basis:
-        b.setflags(write=False)
-    return LieBasis(n=n, basis=basis, dim=len(basis), tol=tol, depth=depth,
+    converged = len(basis) in (start, n * n)
+    basis = basis.reshape(-1, n, n)
+    basis.setflags(write=False)
+    return LieBasis(n=n, basis=tuple(basis), dim=len(basis), tol=tol, depth=depth,
                     converged=converged)
 
 

@@ -5,12 +5,12 @@ simulation (``simulate``: a one-row table, bilinear or smooth, recording
 each segment's end), sampling and reach search alike: bilinear rows
 are products of flows exp(t M_k) x, one batched flow per generator (cached
 eigenfactors, or matlie's batched Padé exponential for a defective
-generator), built when a table first uses it and kept with its family;
-smooth rows go through one batched Fehlberg integrator.  Attainable-set
-clouds are produced by a seeded random-schedule sampler whose per-schedule
-randomness is a pure function of (seed, schedule index), so any execution
-order yields the same cloud; bilinear tables are drawn and run in blocks of
-rows, which coverage can bin as they come.  Coverage is measured on angular
+generator), built each time a runner is made; smooth rows go through one
+batched Fehlberg integrator.  Attainable-set clouds are produced by a
+seeded random-schedule sampler whose per-schedule randomness is a pure
+function of (seed, schedule index), so any execution order yields the same
+cloud; bilinear tables are drawn and run in blocks of rows, which coverage
+can bin as they come.  Coverage is measured on angular
 cells (equal-area for n <= 3) crossed with log-radial bins over an annulus,
 in fixed blocks of cloud rows; the cell of -u is always the antipodal
 partner of the cell of u.
@@ -18,7 +18,6 @@ partner of the cell of u.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,6 @@ SMOOTH_TOL = 1e-10
 _DESCENT_BATCH = 32  # reach-search candidates run as one table
 _COVERAGE_BLOCK = 1 << 14  # cloud rows binned at a time
 _SAMPLE_BLOCK = 1 << 12  # bilinear schedule rows sampled at a time
-# the flows built for each matrix family, by generator index; a family is
-# immutable, so its flows stay valid for as long as it lives
-_FAMILY_FLOWS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +175,11 @@ def _flow(m):
     with its power table of M built here once; overflow gives non-finite
     rows rather than an error."""
     try:
-        w, v = np.linalg.eig(m)
-        vinv = np.linalg.inv(v)
-        err = np.linalg.norm((v * w) @ vinv - m)
-        exact = err <= 1e-12 * (1.0 + np.linalg.norm(m))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries
+            w, v = np.linalg.eig(m)
+            vinv = np.linalg.inv(v)
+            err = np.linalg.norm((v * w) @ vinv - m)
+            exact = err <= 1e-12 * (1.0 + np.linalg.norm(m))
     except np.linalg.LinAlgError:
         exact = False
     if exact:
@@ -197,9 +194,8 @@ def _runner(spec):
     decides how a schedule runs.  A bilinear table runs column by column:
     in each column the rows of each generator are picked by index and moved
     by that generator's flow.  A zero duration leaves the state as it is,
-    rows never stop, and a row that overflows turns non-finite.  A flow is
-    built when a table first uses its generator and kept with the family,
-    so later runners of the same family build it no more.  bounds is a
+    rows never stop, and a row that overflows turns non-finite.  Each
+    generator's flow is built once, when the runner is made.  bounds is a
     view of a segment-major array: each column of boundary states is one
     contiguous block.
 
@@ -213,7 +209,7 @@ def _runner(spec):
             return integrate_table(spec.fields, *table, BLOWUP_NORM)
         run_smooth.block = None
         return run_smooth
-    flows = _FAMILY_FLOWS.setdefault(spec.family, {})
+    flows = [_flow(m) for m in spec.family.matrices]
 
     def run(x0s, indices, durations):
         rows, segs = durations.shape
@@ -223,12 +219,10 @@ def _runner(spec):
             for j in range(segs):
                 t, col = durations[:, j], indices[:, j]
                 active = t != 0.0
-                for k, m in enumerate(spec.family.matrices):
+                for k, flow in enumerate(flows):
                     sel = (active & (col == k)).nonzero()[0]  # cheaper than flatnonzero
                     if sel.size:
-                        if k not in flows:
-                            flows[k] = _flow(m)
-                        x[sel] = flows[k](t[sel], x[sel])
+                        x[sel] = flow(t[sel], x[sel])
                 bounds[:, j] = x
         return bounds, np.full(rows, segs), np.zeros(rows)
     run.block = _SAMPLE_BLOCK

@@ -57,8 +57,25 @@ def test_rank_stages_invariant_under_rescaling_reordering_duplication():
             "reversed": list(mats[::-1]),
             "duplicated": list(mats) + [mats[0]],
         }
+        # the largest entry of one generator at the ends of the float range
+        for peak in (1e-300, 1e300, 1e308):
+            m = mats[last]
+            variants[f"peak {peak:g}"] = list(mats[:last]) + [m * (peak / np.abs(m).max())]
         for label, variant in variants.items():
             assert _profile(variant, seed) == base, (name, label)
+
+
+def test_monotone_certificate_needs_finite_eigenvalues():
+    # the symmetric part of 1e308 [[1, 1], [1, 1]] has eigenvalue 2e308,
+    # which overflows: its norm derivative is not certified, least of all
+    # as constant
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for peak in (1.0, 1e300, 1e308):
+        cert = monotone_norm_certificate(bilinear_system([peak * np.ones((2, 2)), J]).family)
+        if peak < 1e308:
+            assert cert.direction == "nondecreasing", peak
+        else:
+            assert cert is None
 
 
 def test_rank_stages_invariant_under_conjugation():

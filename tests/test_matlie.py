@@ -18,6 +18,8 @@ from bilinctrl.matlie import (
 )
 from bilinctrl.model import builtin_corpus
 
+from oracles import exact_closure_dim
+
 E12 = [[0.0, 1.0], [0.0, 0.0]]
 E21 = [[0.0, 0.0], [1.0, 0.0]]
 J = [[0.0, -1.0], [1.0, 0.0]]
@@ -130,6 +132,30 @@ def _closure_families():
     for name in ("so3", "planar_jd", "identity_only"):
         yield builtin_corpus(name).family.matrices
     yield [[[0.0]]]
+
+
+def test_closure_of_conjugated_traceless_pairs_stays_sl3():
+    # a coordinate change of condition number 1e3 makes the brackets
+    # ill-conditioned; their rounding noise must not be admitted as the
+    # ninth direction of gl(3)
+    for seed in range(40):
+        r = np.random.default_rng(seed)
+        pair = r.standard_normal((2, 3, 3))
+        pair -= np.trace(pair, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
+        q1, _ = np.linalg.qr(r.standard_normal((3, 3)))
+        q2, _ = np.linalg.qr(r.standard_normal((3, 3)))
+        p = q1 @ np.diag([1.0, 10 ** 1.5, 1e3]) @ q2
+        p_inv = np.linalg.inv(p)
+        assert lie_closure([p @ m @ p_inv for m in pair]).dim == 8, seed
+
+
+def test_closure_of_small_integer_pairs_matches_exact_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        gens = rng.integers(-2, 3, size=(2, n, n)).astype(float)
+        gens[rng.random(gens.shape) < 0.5] = 0.0
+        assert lie_closure(gens).dim == exact_closure_dim(gens.tolist()), gens
 
 
 def test_closure_converges_below_n_squared_rounds_at_default_cap():

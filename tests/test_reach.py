@@ -1,6 +1,4 @@
-import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -263,47 +261,6 @@ def test_simulate_nonfinite_flow_scale_raises():
     fam = bilinear_system((np.array([[0.0, 1e10], [0.0, 0.0]]),))
     with pytest.raises(OverflowError, match="flow overflowed"):
         simulate(fam, ControlSchedule(((0, 1.0), (0, 1e300))), [1.0, 1.0])
-
-
-def _count_flow_builds(monkeypatch):
-    from bilinctrl import reach
-
-    built = []
-    make = reach._flow
-    monkeypatch.setattr(reach, "_flow", lambda m: built.append(m) or make(m))
-    return built
-
-
-def test_runner_builds_only_the_flows_a_table_uses(monkeypatch):
-    from bilinctrl import reach
-
-    so3 = builtin_corpus("so3")  # a new family: no flow of it is built yet
-    built = _count_flow_builds(monkeypatch)
-    run = reach._runner(so3)
-    run(np.ones((2, 3)), np.array([[2, 0], [2, 2]]), np.array([[0.5, 0.0], [0.5, 1.0]]))
-    assert [m is so3.family.matrices[2] for m in built] == [True]
-    run(np.ones((1, 3)), np.array([[1, 2]]), np.array([[0.5, 0.5]]))
-    assert len(built) == 2
-
-
-def test_flows_are_built_once_per_family(monkeypatch):
-    built = _count_flow_builds(monkeypatch)
-    spec = bilinear_system(E12_E21.family.matrices)
-    sched = ControlSchedule(((0, 0.5), (1, 0.25), (0, 1.5)))
-    first = simulate(spec, sched, [1.0, 0.5])
-    assert len(built) == 2
-    second = simulate(spec, sched, [1.0, 0.5])
-    assert len(built) == 2
-    assert first.states.tobytes() == second.states.tobytes()
-    # the same matrices in another family build their own flows
-    other = bilinear_system(spec.family.matrices)
-    assert simulate(other, sched, [1.0, 0.5]).states.tobytes() == first.states.tobytes()
-    assert len(built) == 4
-    # the built flows do not keep their family alive
-    family = weakref.ref(other.family)
-    del other
-    gc.collect()
-    assert family() is None
 
 
 def test_degenerate_underflow_reported():
