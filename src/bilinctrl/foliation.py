@@ -71,7 +71,8 @@ class RadialDistribution:
         x = np.asarray(x, dtype=float)
         if not np.any(x):
             raise ValueError("x must be nonzero")
-        nv = _unit_normals(self, x)
+        with np.errstate(all="ignore"):
+            nv = _unit_normals(self, x)
         if not np.isfinite(nv).all():
             raise TransversalityError(
                 f"leaf normal undefined or orthogonal to the ray at {x.tolist()}")
@@ -80,11 +81,13 @@ class RadialDistribution:
 
 def _unit_normals(distr: RadialDistribution, x: np.ndarray) -> np.ndarray:
     """Unit leaf normals at the points x (..., n): NaN rows where the normal
-    is undefined or within TRANS_TOL of orthogonal to the ray."""
-    nv = np.broadcast_to(np.asarray(distr.normal_fn(x), dtype=float), x.shape)
-    with np.errstate(all="ignore"):
-        nv = nv / np.linalg.norm(nv, axis=-1, keepdims=True)
-        cos = np.sum(nv * x, axis=-1) / np.linalg.norm(x, axis=-1)
+    is undefined or within TRANS_TOL of orthogonal to the ray.  Callers
+    silence the floating-point warnings of such rows."""
+    nv = np.asarray(distr.normal_fn(x), dtype=float)
+    if nv.shape != x.shape:
+        nv = np.broadcast_to(nv, x.shape)
+    nv = nv / np.sqrt(np.add.reduce(nv * nv, axis=-1, keepdims=True))
+    cos = np.add.reduce(nv * x, axis=-1) / np.sqrt(np.add.reduce(x * x, axis=-1))
     return np.where((np.abs(cos) >= TRANS_TOL)[..., None], nv, np.nan)
 
 
@@ -107,7 +110,7 @@ def radial_graph_distribution(n: int = 3, slope: float = 0.3) -> RadialDistribut
 
     def normal(x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        r = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
         sigma = x / r
         return x / r**2 - slope * (e - sigma[..., -1:] * sigma) / r
 
@@ -128,14 +131,18 @@ def orbit_tangent_distribution(spec: SystemSpec, basis: LieBasis | None = None,
     if basis is None:
         basis = lie_closure(spec.family.matrices, tol=tol)
     n = spec.n
+    mats = np.reshape(basis.basis, (basis.dim, n, n))
 
     def normal(x):
         x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, np.nan)
         ok = np.isfinite(x).all(axis=-1)  # no SVD of non-finite points
-        u, s, _ = np.linalg.svd(basis.stacked_at(x[ok]))
-        out[ok] = np.where((numerical_rank(s, tol) == n - 1)[..., None],
-                           u[..., -1], np.nan)
+        pts = x if ok.all() else x[ok]
+        u, s, _ = np.linalg.svd(np.einsum("kij,...j->...ik", mats, pts))  # basis.stacked_at
+        nv = np.where((numerical_rank(s, tol) == n - 1)[..., None], u[..., -1], np.nan)
+        if pts is x:
+            return nv
+        out = np.full(x.shape, np.nan)
+        out[ok] = nv
         return out
 
     return RadialDistribution(n, normal, name=f"orbit_tangent({spec.name})")
@@ -184,29 +191,31 @@ def planar_section(theta) -> PlanarSection:
 # fields see only states.
 
 def _leaf_frame(distr: RadialDistribution, states: np.ndarray):
-    """At the rows of states: the points x, the unit radial and angular
-    directions e_r, e_phi of the section planes, and the parts n_r, n_phi of
-    the unit leaf normal along them (NaN where the normal is undefined or
-    orthogonal to the ray)."""
-    phi, thetas = states[:, 1:2], states[:, 3:]
-    e_r, e_phi = np.sin(phi) * thetas, np.cos(phi) * thetas
-    e_r[:, -1] += np.cos(phi[:, 0])  # theta has a zero last coordinate
-    e_phi[:, -1] -= np.sin(phi[:, 0])
+    """At the rows of states: the radii r, the points x, the unit radial and
+    angular directions e_r, e_phi of the section planes, and the parts n_r,
+    n_phi of the unit leaf normal along them (NaN where the normal is
+    undefined or orthogonal to the ray)."""
     with np.errstate(all="ignore"):  # rows that overflowed or failed give NaN
-        x = np.exp(states[:, :1]) * e_r
+        r, sin, cos = np.exp(states[:, 0]), np.sin(states[:, 1]), np.cos(states[:, 1])
+        thetas = states[:, 3:]
+        e_r, e_phi = sin[:, None] * thetas, cos[:, None] * thetas
+        e_r[:, -1] += cos  # theta has a zero last coordinate
+        e_phi[:, -1] -= sin
+        x = r[:, None] * e_r
         nv = _unit_normals(distr, x)
-    return x, e_r, e_phi, np.sum(nv * e_r, axis=1), np.sum(nv * e_phi, axis=1)
+    return (r, x, e_r, e_phi, np.add.reduce(nv * e_r, axis=1),
+            np.add.reduce(nv * e_phi, axis=1))
 
 
 def _angle_rates(distr: RadialDistribution):
     """The field of leaf-line rows over the angle: d log r/dphi =
     -n_phi/n_r, dphi/dphi = 1, d arc/dphi = r |(n_r, n_phi)| / |n_r|."""
     def rates(states):
-        _, _, _, n_r, n_phi = _leaf_frame(distr, states)
+        r, _, _, _, n_r, n_phi = _leaf_frame(distr, states)
         out = np.zeros_like(states)
         out[:, 0] = -n_phi / n_r
         out[:, 1] = 1.0
-        out[:, 2] = np.exp(states[:, 0]) * np.hypot(n_r, n_phi) / np.abs(n_r)
+        out[:, 2] = r * np.hypot(n_r, n_phi) / np.abs(n_r)
         return out
     return rates
 
@@ -215,7 +224,7 @@ def _points_and_velocities(distr: RadialDistribution, states: np.ndarray):
     """The points of the rows of states and the unit leaf-line directions
     there, oriented so that the angle increases; NaN where transversality
     fails."""
-    x, e_r, e_phi, n_r, n_phi = _leaf_frame(distr, states)
+    _, x, e_r, e_phi, n_r, n_phi = _leaf_frame(distr, states)
     scale = (np.sign(n_r) / np.hypot(n_r, n_phi))[:, None]
     return x, scale * (n_r[:, None] * e_phi - n_phi[:, None] * e_r)
 

@@ -154,15 +154,15 @@ PLANAR_HYPERBOLIC = _freeze([[1.0, 0.0], [0.0, -1.0]])
 def example1_gate(points) -> np.ndarray:
     """Smooth nonnegative factor vanishing exactly on {x = 0, y <= 0}.
 
-    gate(x, y) = x^2 + exp(-1/y) for y > 0, and x^2 otherwise.
+    gate(x, y) = x^2 + exp(-1/y) for y > 0, and x^2 otherwise (y NaN
+    included).
     """
     pts = np.asarray(points, dtype=float)
     x = pts[..., 0]
     y = pts[..., 1]
-    bump = np.zeros_like(y)
-    pos = y > 0
-    bump[pos] = np.exp(-1.0 / y[pos])
-    return x * x + bump
+    # exp(-1/y) underflows to 0 for y <= 1e-3, so y is raised to 1e-3 (NaN
+    # included) without changing a value, and -1/y never divides by 0
+    return x * x + np.exp(-1.0 / np.fmax(y, 1e-3))
 
 
 def _f_unit_up(pts):

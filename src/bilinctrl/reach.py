@@ -58,28 +58,33 @@ class Trajectory:
 
 # --- smooth fields: one batched Fehlberg 4(5) integrator --------------------
 
-_RK_A = (
+_RK_A = tuple(np.array(row) for row in (
     (1 / 4,),
     (3 / 32, 9 / 32),
     (1932 / 2197, -7200 / 2197, 7296 / 2197),
     (439 / 216, -8.0, 3680 / 513, -845 / 4104),
     (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RK_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RK_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+))
+# the weights of the 5th- and 4th-order solutions, on their nonzero stages
+_RK_B5 = ([0, 2, 3, 4, 5],
+          np.array([16 / 135, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]))
+_RK_B4 = ([0, 2, 3, 4], np.array([25 / 216, 1408 / 2565, 2197 / 4104, -1 / 5]))
 
 
 def rk_step(f, u, h):
     """One Fehlberg 4(5) step of u' = f(u) for a state or a stack of rows u,
     with one signed step h or one per row: the 5th-order states and the norm
-    of each row's embedded error estimate."""
+    of each row's embedded error estimate.  The stages fill one stacked
+    buffer, and each weighted stage sum is one einsum, which accumulates
+    from 0 in stage order, as a Python sum over the stages would."""
     h = np.asarray(h, dtype=float)[..., None]
-    ks = [f(u)]
-    for row in _RK_A:
-        ks.append(f(u + h * sum(c * k for c, k in zip(row, ks))))
-    u5 = u + h * sum(c * k for c, k in zip(_RK_B5, ks) if c)
-    u4 = u + h * sum(c * k for c, k in zip(_RK_B4, ks) if c)
-    return u5, np.linalg.norm(u5 - u4, axis=-1)
+    ks = np.empty((6, *np.shape(u)))
+    ks[0] = f(u)
+    for i, row in enumerate(_RK_A, 1):
+        ks[i] = f(u + h * np.einsum("i,i...->...", row, ks[:i]))
+    u5, u4 = (u + h * np.einsum("i,i...->...", c, ks[idx]) for idx, c in (_RK_B5, _RK_B4))
+    d = u5 - u4
+    return u5, np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 def _field_rows(fields, field):
@@ -111,16 +116,25 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
     step, and then turns non-finite.  The caller picks escape_norm: schedule
     rows stop at BLOWUP_NORM, foliation's leaf lines, whose state holds an
     arc length that may legitimately pass it, at foliation.ESCAPE_NORM.
-    Live rows are kept sorted by field, so each field runs on one slice of
-    rows; every row runs bit for bit as it would alone."""
+
+    All live rows step in lock step, one rk_step on the whole stack per
+    step.  With several fields the live rows are kept sorted by field, so
+    each field runs on one slice of rows; a one-field table (every leaf
+    table) runs its field on the whole stack and gathers the live rows
+    only when some row has left.  Every row runs bit for bit as it would
+    alone."""
     rows, segs = durations.shape
-    starts = np.cumsum(np.abs(durations), axis=1) - np.abs(durations)
+    spans = np.abs(durations)
+    starts = np.cumsum(spans, axis=1) - spans
     bounds = np.empty((rows, segs, x0s.shape[1]))
     stop, left = np.full(rows, segs), np.zeros(rows)
+    if not rows:
+        return bounds, stop, left
     # live rows with their states, segments, time left in them, steps and
     # whether their last trial step was rejected
     live, x, seg = np.arange(rows), np.array(x0s, dtype=float), np.full(rows, -1)
     rem, h, cut = np.zeros(rows), np.full(rows, 0.01), np.zeros(rows, dtype=bool)
+    f = fields[0]  # a one-field table's field; else set with each sort
     # trial steps that overflow have a non-finite error and are rejected
     with np.errstate(all="ignore"):
         while True:
@@ -131,30 +145,32 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
                     bounds[live[rec], seg[rec]] = x[rec]
                     seg[done] += 1
                     done = done[seg[done] < segs]
-                    rem[done] = np.abs(durations[live[done], seg[done]])
+                    rem[done] = spans[live[done], seg[done]]
                     done = done[rem[done] == 0.0]
                 keep = np.flatnonzero(seg < segs)
                 if not keep.size:
                     return bounds, stop, left
-                field = indices[live[keep], seg[keep]]
-                order = np.argsort(field, kind="stable")
-                keep, field = keep[order], field[order]
-                live, x, seg, rem, h, cut = (a[keep] for a in (live, x, seg, rem, h, cut))
-                dur, f = durations[live, seg], _field_rows(fields, field)
-                t0 = starts[live, seg]
+                if len(fields) > 1:  # fields change with segments: sort again
+                    field = indices[live[keep], seg[keep]]
+                    order = np.argsort(field, kind="stable")
+                    keep, f = keep[order], _field_rows(fields, field[order])
+                if len(fields) > 1 or keep.size < live.size:
+                    live, x, seg, rem, h, cut = (
+                        a[keep] for a in (live, x, seg, rem, h, cut))
+                dur, span, t0 = durations[live, seg], spans[live, seg], starts[live, seg]
             step = np.minimum(h, rem)
             u5, err = rk_step(f, x, np.copysign(step, dur))
-            tol = SMOOTH_TOL * (1.0 + np.linalg.norm(x, axis=1))
+            tol = SMOOTH_TOL * (1.0 + np.sqrt(np.add.reduce(x * x, axis=1)))
             ok = err <= tol
             # a step that moves the state fails, one that passes does not move it
             stuck = ok & cut & (u5 == x).all(axis=1)
             cut = ~ok
-            grow = np.clip(0.9 * np.fmax(tol / err, 0.0) ** 0.2, 0.2, 5.0)
+            grow = np.minimum(np.maximum(0.9 * np.fmax(tol / err, 0.0) ** 0.2, 0.2), 5.0)
             h = np.where(ok & (step < h), h, step * grow)
             x[ok] = u5[ok]
             rem = np.where(ok, rem - step, rem)  # exactly 0 after the last step
-            t = t0 + (np.abs(dur) - rem)  # time since the row's start
-            blow = ok & (np.linalg.norm(u5, axis=1) > escape_norm)
+            t = t0 + (span - rem)  # time since the row's start
+            blow = ok & (np.sqrt(np.add.reduce(u5 * u5, axis=1)) > escape_norm)
             stall = ((t + h == t) | stuck) & ~blow
             halt = blow | stall
             if halt.any():

@@ -12,7 +12,11 @@ chosen point on each pick, the coverage oracle bins the whole cloud in one
 ``cell_indices`` call instead of in blocks of rows, the one-table sampling
 oracle draws the whole schedule table at once and runs it in one call
 instead of in blocks of rows, and the leaf oracle is the closed-form
-defining function of the radial-graph leaves.  ``split_segments`` cuts a
+defining function of the radial-graph leaves, the Fehlberg-step oracle
+forms each stage sum as a plain Python sum of the weighted stages instead of
+one einsum over a stacked stage buffer, and the leaf-rate oracle computes
+the leaf frame with separate sin, cos and exp calls and numpy's norm and sum
+wrappers.  ``split_segments`` cuts a
 schedule into equal pieces, so that ``simulate`` records states inside its
 segments.
 """
@@ -24,6 +28,8 @@ import scipy.linalg
 import scipy.special
 from scipy.integrate import solve_ivp
 
+from bilinctrl.foliation import TRANS_TOL, RadialDistribution
+from bilinctrl.matlie import numerical_rank
 from bilinctrl.model import ControlSchedule
 from bilinctrl.reach import (
     _mutate_schedule,
@@ -242,6 +248,97 @@ def one_table_sample(spec, x0, budget, seed, max_segments=20, duration_scale=0.5
     bounds = _runner(spec)(np.broadcast_to(x0, (budget, x0.size)), indices, durations)[0]
     cloud = bounds.transpose(1, 0, 2)[durations.T > 0.0]
     return cloud, bounds[:, -1].copy()
+
+
+_RK_A = (
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+_RK_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+_RK_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+
+
+def python_sum_rk_step(f, u, h):
+    """reach.rk_step with each stage sum a Python sum over the stages, zero
+    weights skipped: the 5th-order states and the embedded error norms."""
+    h = np.asarray(h, dtype=float)[..., None]
+    ks = [f(u)]
+    for row in _RK_A:
+        ks.append(f(u + h * sum(c * k for c, k in zip(row, ks))))
+    u5 = u + h * sum(c * k for c, k in zip(_RK_B5, ks) if c)
+    u4 = u + h * sum(c * k for c, k in zip(_RK_B4, ks) if c)
+    return u5, np.linalg.norm(u5 - u4, axis=-1)
+
+
+def radial_graph_normal(n, slope):
+    """The leaf normal of foliation.radial_graph_distribution(n, slope),
+    through numpy's norm."""
+    e = np.zeros(n)
+    e[-1] = 1.0
+
+    def normal(x):
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        sigma = x / r
+        return x / r**2 - slope * (e - sigma[..., -1:] * sigma) / r
+    return RadialDistribution(n, normal)
+
+
+def orbit_tangent_normal(basis, tol):
+    """The leaf normal of foliation.orbit_tangent_distribution at a Lie
+    basis: an SVD of LieBasis.stacked_at at the finite points only, its
+    results scattered back into a NaN array."""
+    n = basis.n
+
+    def normal(x):
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, np.nan)
+        ok = np.isfinite(x).all(axis=-1)
+        u, s, _ = np.linalg.svd(basis.stacked_at(x[ok]))
+        out[ok] = np.where((numerical_rank(s, tol) == n - 1)[..., None],
+                           u[..., -1], np.nan)
+        return out
+    return RadialDistribution(n, normal)
+
+
+def leaf_frame(distr, states):
+    """foliation's leaf frame (points, e_r, e_phi, n_r, n_phi) at rows
+    (log r, phi, arc, theta), with sin, cos and exp taken per use and the
+    normal broadcast and normalized through numpy's norm and sum."""
+    phi, thetas = states[:, 1:2], states[:, 3:]
+    e_r, e_phi = np.sin(phi) * thetas, np.cos(phi) * thetas
+    e_r[:, -1] += np.cos(phi[:, 0])
+    e_phi[:, -1] -= np.sin(phi[:, 0])
+    with np.errstate(all="ignore"):
+        x = np.exp(states[:, :1]) * e_r
+        nv = np.broadcast_to(np.asarray(distr.normal_fn(x), dtype=float), x.shape)
+        nv = nv / np.linalg.norm(nv, axis=-1, keepdims=True)
+        cos = np.sum(nv * x, axis=-1) / np.linalg.norm(x, axis=-1)
+    nv = np.where((np.abs(cos) >= TRANS_TOL)[..., None], nv, np.nan)
+    return x, e_r, e_phi, np.sum(nv * e_r, axis=1), np.sum(nv * e_phi, axis=1)
+
+
+def angle_rates(distr, states):
+    """The rates (d log r, dphi, d arc)/dphi of leaf-line rows, 0 for theta."""
+    _, _, _, n_r, n_phi = leaf_frame(distr, states)
+    out = np.zeros_like(states)
+    with np.errstate(all="ignore"):
+        out[:, 0] = -n_phi / n_r
+        out[:, 1] = 1.0
+        out[:, 2] = np.exp(states[:, 0]) * np.hypot(n_r, n_phi) / np.abs(n_r)
+    return out
+
+
+def points_and_velocities(distr, states):
+    """The points of leaf-line rows and their unit, angle-increasing
+    directions."""
+    x, e_r, e_phi, n_r, n_phi = leaf_frame(distr, states)
+    with np.errstate(all="ignore"):
+        scale = (np.sign(n_r) / np.hypot(n_r, n_phi))[:, None]
+    return x, scale * (n_r[:, None] * e_phi - n_phi[:, None] * e_r)
 
 
 def radial_graph_leaf(x, slope):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from bilinctrl.foliation import (
+    ESCAPE_NORM,
+    RETURN_PIECES,
     FoliationError,
     NoReturnError,
     RadialDistribution,
@@ -14,13 +16,36 @@ from bilinctrl.foliation import (
     planar_section,
     radial_graph_distribution,
     sphere_distribution,
+    _angle_rates,
+    _leaf_frame,
+    _points_and_velocities,
+    _theta_samples,
 )
+from bilinctrl.matlie import DEFAULT_TOL, lie_closure
 from bilinctrl.model import bilinear_system, builtin_corpus
+from bilinctrl.reach import integrate_table
 
-from oracles import radial_graph_leaf
+from oracles import (
+    angle_rates,
+    leaf_frame,
+    orbit_tangent_normal,
+    points_and_velocities,
+    radial_graph_leaf,
+    radial_graph_normal,
+)
 
 POLE = np.array([0.0, 0.0, 1.0])
 THETA = np.array([1.0, 0.0, 0.0])
+TILT = 0.7
+
+
+def _tilted_normal(x):
+    # (u_0 - TILT) u + (e_0 - u_0 u) at the direction u of x: radial part
+    # u_0 - TILT, so the sections with theta_0 > TILT lose transversality
+    u = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    e0 = np.zeros(x.shape[-1])
+    e0[0] = 1.0
+    return (u[..., :1] - TILT) * u + (e0 - u[..., :1] * u)
 
 
 def test_leaf_line_field_orientation_at_pole():
@@ -221,20 +246,14 @@ def test_sample_failures_name_exactly_the_non_transversal_sections():
     # part u_0 - c vanishes where u_0 = c.  On the section of theta, u_0 =
     # sin(phi) theta_0 peaks at theta_0, so exactly the sections with
     # theta_0 > c lose transversality on the way to the opposite ray
-    c = 0.7
-
-    def normal(x):
-        u = x / np.linalg.norm(x, axis=-1, keepdims=True)
-        e0 = np.zeros(x.shape[-1])
-        e0[0] = 1.0
-        return (u[..., :1] - c) * u + (e0 - u[..., :1] * u)
-
+    c = TILT
     thetas = first_return_constancy(sphere_distribution(3), theta_samples=64,
                                     seed=0).thetas
     expected = tuple(int(k) for k in np.flatnonzero(thetas[:, 0] > c))
     assert 0 < len(expected) < 64
     with pytest.raises(SampleFailureError) as info:
-        first_return_constancy(RadialDistribution(3, normal), theta_samples=64, seed=0)
+        first_return_constancy(RadialDistribution(3, _tilted_normal), theta_samples=64,
+                               seed=0)
     assert info.value.indices == expected
 
 
@@ -277,3 +296,86 @@ def test_radial_graph_in_higher_dimension_returns_in_closed_form():
                                  seed=0)
     assert rep.constant
     assert rep.mean_radius == pytest.approx(np.exp(-0.6), abs=1e-6)
+
+
+def _leaf_rows(n, count, seed):
+    """Leaf-line rows (log r, phi, arc, theta) spread over the sections of
+    count directions, with rows whose point overflows, is zero or is NaN
+    (rows 4 to 7) and two rows where the tilted field is radial (8 and 9)."""
+    rng = np.random.default_rng([seed, n])
+    states = np.zeros((count, 3 + n))
+    states[:, 0] = rng.normal(0.0, 2.0, count)
+    states[:, 1] = rng.uniform(-0.5, np.pi + 0.5, count)
+    states[:, 2] = rng.exponential(1.0, count)
+    states[:, 3:] = _theta_samples(n, count, seed)
+    states[:4, 1] = (0.0, np.pi / 2, np.pi, -0.0)
+    states[4:7, 0] = (800.0, -np.inf, np.nan)  # x = inf, 0 and NaN
+    states[7, 1] = np.inf
+    states[8:10, 1] = np.arcsin(TILT), np.pi - np.arcsin(TILT)
+    states[8:10, 3:] = np.eye(n)[0]  # u_0 = TILT: the tilted field is not transversal
+    return states
+
+
+def _leaf_fields():
+    so3 = builtin_corpus("so3")
+    basis = lie_closure(so3.family.matrices, tol=DEFAULT_TOL)
+    tilted = RadialDistribution(3, _tilted_normal)
+    horizontal = RadialDistribution(3, lambda x: np.array([0.0, 0.0, 1.0]))
+    return {  # (field, the same field through its oracle normal)
+        "sphere3": (sphere_distribution(3),) * 2,
+        "sphere4": (sphere_distribution(4),) * 2,
+        "radial_graph": (radial_graph_distribution(3, slope=0.3),
+                         radial_graph_normal(3, 0.3)),
+        "radial_graph4": (radial_graph_distribution(4, slope=-0.4),
+                          radial_graph_normal(4, -0.4)),
+        "so3_orbit": (orbit_tangent_distribution(so3, basis=basis),
+                      orbit_tangent_normal(basis, DEFAULT_TOL)),
+        "tilted": (tilted, tilted),
+        "horizontal": (horizontal, horizontal),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_leaf_fields()))
+def test_leaf_rates_and_frame_match_oracle(name):
+    # sin, cos and exp are taken once per call and the norms through
+    # add.reduce; the frame, the rates and the arc velocities must not move
+    # by a bit, on rows whose normal is NaN (non-finite points, the tilted
+    # field's non-transversal rows) too
+    distr, oracle = _leaf_fields()[name]
+    states = _leaf_rows(distr.n, 200, seed=3)
+    for rows in (states, states[8:], states[:1], states[8:9]):  # [8:] all finite
+        with np.errstate(all="ignore"):
+            got = (*_leaf_frame(distr, rows)[1:], _angle_rates(distr)(rows),
+                   *_points_and_velocities(distr, rows))
+            want = (*leaf_frame(oracle, rows), angle_rates(oracle, rows),
+                    *points_and_velocities(oracle, rows))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    with np.errstate(all="ignore"):
+        n_r = leaf_frame(oracle, states)[3]
+    assert np.isnan(n_r[4:8]).all() and np.isfinite(n_r[10:]).all()
+    assert np.isnan(n_r[8:10]).all() == (name == "tilted")
+
+
+@pytest.mark.parametrize("name", ["sphere3", "so3_orbit", "tilted"])
+def test_one_field_leaf_table_matches_two_field_table(name):
+    # a one-field table runs its field on the whole stack, without the
+    # argsort and field gathers of a table of several fields; with the
+    # field twice and random 0/1 indices every row must come out the same
+    distr = _leaf_fields()[name][0]
+    rates = _angle_rates(distr)
+    rows = 48
+    x0s = np.zeros((rows, 3 + distr.n))
+    x0s[:, 0] = np.random.default_rng(1).normal(0.0, 0.5, rows)
+    x0s[:, 3:] = _theta_samples(distr.n, rows, seed=2)
+    x0s[-1, 1] = np.nan  # a row that stalls at once
+    durations = np.full((rows, RETURN_PIECES), np.pi / RETURN_PIECES)
+    one = integrate_table((rates,), x0s, np.zeros(durations.shape, dtype=int),
+                          durations, ESCAPE_NORM)
+    indices = np.random.default_rng(4).integers(0, 2, durations.shape)
+    two = integrate_table((rates, rates), x0s, indices, durations, ESCAPE_NORM)
+    for got, want in zip(one, two):
+        assert got.tobytes() == want.tobytes()
+    stop = one[1]
+    halted = (stop < RETURN_PIECES).sum()
+    assert stop[-1] == 0 and (halted > 1 if name == "tilted" else halted == 1)

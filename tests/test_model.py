@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +169,32 @@ def test_example1_fields():
     # right-pusher has positive x component off the half line
     v = spec.fields[2](np.array([0.0, 1.0]))
     assert v[0] == pytest.approx(np.exp(-1.0)) and v[1] == 0.0
+
+
+def test_gate_and_example1_fields_at_edge_values():
+    # the bump exp(-1/y) is exactly 0 for y <= 0, NaN and tiny y, so the gate
+    # is x^2 there; the pushers' -gate keeps the sign of a zero; nothing warns
+    ys = [-0.0, 0.0, 5e-324, 1e-300, -1.0, np.nan, 1e-3, 2e-3, 0.5]
+    xs = [0.0, -0.0, 3.0]
+    pts = np.array([[x, y] for x in xs for y in ys])
+    want = np.array([x * x + (math.exp(-1.0 / y) if y > 0 else 0.0)
+                     for x in xs for y in ys])
+    assert want[ys.index(2e-3)] == math.exp(-500.0) > 0.0
+    fields = builtin_corpus("example1").fields
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gate = example1_gate(pts)
+        rates = [f(pts) for f in fields]
+        single = [example1_gate(p) for p in pts]
+    assert gate.tobytes() == want.tobytes()
+    assert np.array(single).tobytes() == want.tobytes()
+    zero = np.zeros_like(want)
+    for rate, (vx, vy) in zip(rates, [(zero, zero + 1.0), (zero, -want),
+                                      (want, zero), (-want, zero)]):
+        assert rate.tobytes() == np.stack([vx, vy], axis=-1).tobytes()
+    assert np.signbit(rates[1][want == 0.0, 1]).all()  # -gate is -0.0
+    assert np.signbit(rates[3][want == 0.0, 0]).all()
+    assert not np.signbit(rates[2][:, 0]).any()
 
 
 def test_random_system_deterministic():

@@ -17,6 +17,7 @@ from bilinctrl.reach import (
     approx_reach_test,
     coverage,
     integrate_table,
+    rk_step,
     sample_attainable,
     simulate,
     spread_directions,
@@ -31,6 +32,7 @@ from oracles import (
     expm_product,
     one_shot_coverage,
     one_table_sample,
+    python_sum_rk_step,
     serial_reach_search,
     smooth_endpoint,
     split_segments,
@@ -202,6 +204,32 @@ def test_smooth_sampler_rows_replay_exactly():
         assert (np.linalg.norm(ends, axis=1) > BLOWUP_NORM).any()
 
 
+@pytest.mark.parametrize("n", [2, 7])
+@pytest.mark.parametrize("rows", [1, 2, 7, 64, 3000])
+def test_rk_step_matches_python_sum_oracle(rows, n):
+    # each stage sum is one einsum over the stacked stages; it must add the
+    # weighted stages from 0 in stage order, as the Python sum does, so
+    # signed zeros and every last bit come out the same for any stack size
+    rng = np.random.default_rng([rows, n])
+    a = rng.standard_normal((n, n))
+    u = rng.standard_normal((rows, n))
+    u[::2, 0], u[1::2, 0], u[::3, -1] = 0.0, -0.0, -0.0
+    h = rng.standard_normal(rows) * 0.1  # signed steps
+
+    def mixing(v):
+        return np.tanh(v @ a.T) * (1.0 + v * v)
+
+    def keeps_zeros(v):  # a zero coordinate gets a signed zero rate
+        return v * a[0] - v ** 3
+
+    for f in (mixing, keeps_zeros):
+        for got, want in zip(rk_step(f, u, h), python_sum_rk_step(f, u, h)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(rk_step(f, u[0], h[0]), python_sum_rk_step(f, u[0], h[0])):
+            assert got.tobytes() == want.tobytes()  # a single state
+
+
 def test_integrate_table_is_row_order_independent():
     # live rows are sorted by field so that each field runs on one slice;
     # a row's result must not depend on where it sits in the table
@@ -215,6 +243,14 @@ def test_integrate_table_is_row_order_independent():
     permuted = integrate_table(EX1.fields, *(a[perm] for a in table), BLOWUP_NORM)
     for got, want in zip(permuted, (bounds, stop, left)):
         assert got.tobytes() == want[perm].tobytes()
+
+
+@pytest.mark.parametrize("segs", [0, 3])
+def test_integrate_table_of_no_rows_is_empty(segs):
+    bounds, stop, left = integrate_table(EX1.fields, np.zeros((0, 2)),
+                                         np.zeros((0, segs), int), np.zeros((0, segs)),
+                                         BLOWUP_NORM)
+    assert bounds.shape == (0, segs, 2) and stop.shape == left.shape == (0,)
 
 
 def test_smooth_sampler_agrees_with_dop853_oracle():
