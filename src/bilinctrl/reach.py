@@ -118,11 +118,12 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
     arc length that may legitimately pass it, at foliation.ESCAPE_NORM.
 
     All live rows step in lock step, one rk_step on the whole stack per
-    step.  With several fields the live rows are kept sorted by field, so
-    each field runs on one slice of rows; a one-field table (every leaf
-    table) runs its field on the whole stack and gathers the live rows
-    only when some row has left.  Every row runs bit for bit as it would
-    alone."""
+    step, on a C-ordered state whatever the layout of x0s.  With several
+    fields the live rows are kept sorted by field, so each field runs on one
+    slice of rows; a one-field table (every leaf table) runs its field on
+    the whole stack and gathers the live rows (with take) only when some
+    row has left.  Accepted steps are copied in with copyto under a row
+    mask, not scattered.  Every row runs bit for bit as it would alone."""
     rows, segs = durations.shape
     spans = np.abs(durations)
     starts = np.cumsum(spans, axis=1) - spans
@@ -132,7 +133,7 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
         return bounds, stop, left
     # live rows with their states, segments, time left in them, steps and
     # whether their last trial step was rejected
-    live, x, seg = np.arange(rows), np.array(x0s, dtype=float), np.full(rows, -1)
+    live, x, seg = np.arange(rows), np.array(x0s, dtype=float, order="C"), np.full(rows, -1)
     rem, h, cut = np.zeros(rows), np.full(rows, 0.01), np.zeros(rows, dtype=bool)
     f = fields[0]  # a one-field table's field; else set with each sort
     # trial steps that overflow have a non-finite error and are rejected
@@ -156,7 +157,7 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
                     keep, f = keep[order], _field_rows(fields, field[order])
                 if len(fields) > 1 or keep.size < live.size:
                     live, x, seg, rem, h, cut = (
-                        a[keep] for a in (live, x, seg, rem, h, cut))
+                        a.take(keep, axis=0) for a in (live, x, seg, rem, h, cut))
                 dur, span, t0 = durations[live, seg], spans[live, seg], starts[live, seg]
             step = np.minimum(h, rem)
             u5, err = rk_step(f, x, np.copysign(step, dur))
@@ -167,7 +168,7 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
             cut = ~ok
             grow = np.minimum(np.maximum(0.9 * np.fmax(tol / err, 0.0) ** 0.2, 0.2), 5.0)
             h = np.where(ok & (step < h), h, step * grow)
-            x[ok] = u5[ok]
+            np.copyto(x, u5, where=ok[:, None])
             rem = np.where(ok, rem - step, rem)  # exactly 0 after the last step
             t = t0 + (span - rem)  # time since the row's start
             blow = ok & (np.sqrt(np.add.reduce(u5 * u5, axis=1)) > escape_norm)
@@ -204,16 +205,28 @@ def _flow(m):
     return lambda ts, xs: np.einsum("rij,rj->ri", expm(ts), xs)
 
 
+def _put_rows(states, sel, values, record):
+    """Write the rows of values to rows sel of a C-ordered state, given as
+    its 1-D view of row records (dtype record): each row moves as one
+    opaque item, several times cheaper than numpy's scatter x[sel] = values
+    of float rows."""
+    states[sel] = np.ascontiguousarray(values).view(record).reshape(len(sel))
+
+
 def _runner(spec):
     """The function (x0s, indices, durations) -> (bounds, stop, left) that
     runs schedule tables of spec as integrate_table does: the one place that
-    decides how a schedule runs.  A bilinear table runs column by column:
-    in each column the rows of each generator are picked by index and moved
-    by that generator's flow.  A zero duration leaves the state as it is,
+    decides how a schedule runs.  A bilinear table runs column by column,
+    each column of durations and indices read from one contiguous transposed
+    copy of its table: in each column the rows of each generator are
+    gathered by index with take, moved by that generator's flow and written
+    back as whole-row records (_put_rows) into a C-ordered state, whatever
+    the layout of x0s.  Those are numpy's fast paths; fancy indexing of rows
+    costs several times more.  A zero duration leaves the state as it is,
     rows never stop, and a row that overflows turns non-finite.  Each
-    generator's flow is built once, when the runner is made.  bounds is a
-    view of a segment-major array: each column of boundary states is one
-    contiguous block.
+    generator's flow and the row-record dtype are built once, when the
+    runner is made.  bounds is a view of a segment-major array: each column
+    of boundary states is one contiguous block.
 
     The runner's ``block`` is the most rows a sampled table is run in at
     once: _SAMPLE_BLOCK for a bilinear table, whose rows run independently,
@@ -226,19 +239,21 @@ def _runner(spec):
         run_smooth.block = None
         return run_smooth
     flows = [_flow(m) for m in spec.family.matrices]
+    record = np.dtype((np.void, spec.n * np.dtype(float).itemsize))  # one state row
 
     def run(x0s, indices, durations):
         rows, segs = durations.shape
         bounds = np.empty((segs, rows, x0s.shape[1])).transpose(1, 0, 2)
-        x = np.array(x0s, dtype=float)
+        x = np.array(x0s, dtype=float, order="C")
+        states = x.view(record).reshape(rows)  # the rows of x as records
+        columns = np.ascontiguousarray(durations.T), np.ascontiguousarray(indices.T)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: non-finite rows
-            for j in range(segs):
-                t, col = durations[:, j], indices[:, j]
+            for j, (t, col) in enumerate(zip(*columns)):
                 active = t != 0.0
                 for k, flow in enumerate(flows):
                     sel = (active & (col == k)).nonzero()[0]  # cheaper than flatnonzero
                     if sel.size:
-                        x[sel] = flow(t[sel], x[sel])
+                        _put_rows(states, sel, flow(t.take(sel), x.take(sel, axis=0)), record)
                 bounds[:, j] = x
         return bounds, np.full(rows, segs), np.zeros(rows)
     run.block = _SAMPLE_BLOCK
@@ -396,6 +411,30 @@ def spread_directions(rng: np.random.Generator, n: int, count: int) -> np.ndarra
     return np.array(chosen)
 
 
+def _pairwise_sum(terms: list) -> np.ndarray:
+    """The sum of equal-shape arrays, added in place into the first ones, in
+    the order np.add.reduce sums the entries of a contiguous row of
+    len(terms): in turn for fewer than 8, from 8 running partial sums for up
+    to 128, halves of whole eights beyond.  Summing the columns of a table
+    this way gives its row sums bit for bit, without numpy's per-row loop."""
+    count = len(terms)
+    if count < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    part = terms[:8]
+    for i in range(8, count - count % 8):
+        part[i % 8] += terms[i]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for term in terms[count - count % 8:]:
+        total += term
+    return total
+
+
 class CoverageGrid:
     """Angular cells times log-radial bins over an annulus.
 
@@ -501,9 +540,10 @@ class CoverageGrid:
 
     @staticmethod
     def _norms(pts: np.ndarray) -> np.ndarray:
+        # np.linalg.norm(pts, axis=1) bit for bit, without its per-row loop;
         # a row with a NaN or inf entry has a NaN or inf norm, outside the annulus
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.linalg.norm(pts, axis=1)
+            return np.sqrt(_pairwise_sum([c * c for c in pts.T]))
 
     def _cells(self, pts: np.ndarray, norms: np.ndarray) -> np.ndarray:
         """cell_indices of the rows pts, given their norms."""
@@ -512,7 +552,7 @@ class CoverageGrid:
         if not ok.size:
             return out
         r = norms[ok]
-        a_idx = self.angular_index(pts[ok] / r[:, None])
+        a_idx = self.angular_index(pts.take(ok, axis=0) / r[:, None])
         if self.antipodal:
             a_idx = a_idx % (self.num_angular // 2)
         span = np.log(self.r_max) - np.log(self.r_min)
@@ -557,7 +597,8 @@ class CoverageReport:
 def _bin_blocks(blocks, grid: CoverageGrid) -> CoverageReport:
     """The coverage report of the rows of all the arrays in blocks, taken
     in turn and each binned in slices of _COVERAGE_BLOCK rows whose hits are
-    ORed into one table."""
+    ORed into one table.  A slice's norms are summed column by column
+    (CoverageGrid._norms) and its rows in the annulus gathered with take."""
     hits = np.zeros(grid.total_cells, dtype=bool)
     points = below = inside = 0
     for block in blocks:
@@ -591,7 +632,8 @@ def coverage(cloud: np.ndarray, grid: CoverageGrid) -> CoverageReport:
 
     The cloud is binned in fixed blocks of rows, each block's hits ORed
     into one table, so the memory coverage needs beyond its input does not
-    grow with the cloud.  Each row's norm is computed once and serves both
+    grow with the cloud.  Each row's norm is computed once, column by column
+    and bit for bit what np.linalg.norm(rows, axis=1) gives, and serves both
     its cell and the radial counts.  The sampled evidence of
     decide_controllability and the ``reach`` command go through the same
     binning loop one block of schedule rows at a time, so they never hold a

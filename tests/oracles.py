@@ -16,7 +16,10 @@ defining function of the radial-graph leaves, the Fehlberg-step oracle
 forms each stage sum as a plain Python sum of the weighted stages instead of
 one einsum over a stacked stage buffer, and the leaf-rate oracle computes
 the leaf frame with separate sin, cos and exp calls and numpy's norm and sum
-wrappers.  ``split_segments`` cuts a
+wrappers, the fancy-index runner and integrator gather and scatter rows
+with ``x[sel]`` and ``x[sel] = ...`` instead of ``take``, row records and
+``copyto``, and the norm coverage oracle takes its row norms from numpy's
+``linalg.norm`` instead of column sums.  ``split_segments`` cuts a
 schedule into equal pieces, so that ``simulate`` records states inside its
 segments.
 """
@@ -32,11 +35,15 @@ from bilinctrl.foliation import TRANS_TOL, RadialDistribution
 from bilinctrl.matlie import numerical_rank
 from bilinctrl.model import ControlSchedule
 from bilinctrl.reach import (
+    SMOOTH_TOL,
+    _field_rows,
+    _flow,
     _mutate_schedule,
     _runner,
     _schedule_from_row,
     _schedule_tables,
     sample_attainable,
+    rk_step,
     simulate,
 )
 
@@ -416,3 +423,104 @@ def serial_reach_search(spec, x0, target, eps, budget, seed, max_segments=20,
     final = distance(best_segs)
     hit = final <= eps
     return hit, evaluations, final, best_segs if hit else None
+
+
+def fancy_index_run(spec, x0s, indices, durations):
+    """reach._runner's bilinear run with numpy's fancy indexing: each
+    generator's rows gathered with x[sel] and scattered back with
+    x[sel] = ..., the columns read from the tables as given, and the state
+    laid out as np.array(x0s) lays it out."""
+    flows = [_flow(m) for m in spec.family.matrices]
+    rows, segs = durations.shape
+    bounds = np.empty((segs, rows, x0s.shape[1])).transpose(1, 0, 2)
+    x = np.array(x0s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(segs):
+            t, col = durations[:, j], indices[:, j]
+            active = t != 0.0
+            for k, flow in enumerate(flows):
+                sel = (active & (col == k)).nonzero()[0]
+                if sel.size:
+                    x[sel] = flow(t[sel], x[sel])
+            bounds[:, j] = x
+    return bounds, np.full(rows, segs), np.zeros(rows)
+
+
+def fancy_index_integrate_table(fields, x0s, indices, durations, escape_norm):
+    """reach.integrate_table with the live rows gathered by a[keep] and each
+    accepted step scattered in with x[ok] = u5[ok]."""
+    rows, segs = durations.shape
+    spans = np.abs(durations)
+    starts = np.cumsum(spans, axis=1) - spans
+    bounds = np.empty((rows, segs, x0s.shape[1]))
+    stop, left = np.full(rows, segs), np.zeros(rows)
+    if not rows:
+        return bounds, stop, left
+    live, x, seg = np.arange(rows), np.array(x0s, dtype=float), np.full(rows, -1)
+    rem, h, cut = np.zeros(rows), np.full(rows, 0.01), np.zeros(rows, dtype=bool)
+    f = fields[0]
+    with np.errstate(all="ignore"):
+        while True:
+            if not rem.all():
+                done = np.flatnonzero((rem == 0.0) & (seg < segs))
+                while done.size:
+                    rec = done[seg[done] >= 0]
+                    bounds[live[rec], seg[rec]] = x[rec]
+                    seg[done] += 1
+                    done = done[seg[done] < segs]
+                    rem[done] = spans[live[done], seg[done]]
+                    done = done[rem[done] == 0.0]
+                keep = np.flatnonzero(seg < segs)
+                if not keep.size:
+                    return bounds, stop, left
+                if len(fields) > 1:
+                    field = indices[live[keep], seg[keep]]
+                    order = np.argsort(field, kind="stable")
+                    keep, f = keep[order], _field_rows(fields, field[order])
+                if len(fields) > 1 or keep.size < live.size:
+                    live, x, seg, rem, h, cut = (
+                        a[keep] for a in (live, x, seg, rem, h, cut))
+                dur, span, t0 = durations[live, seg], spans[live, seg], starts[live, seg]
+            step = np.minimum(h, rem)
+            u5, err = rk_step(f, x, np.copysign(step, dur))
+            tol = SMOOTH_TOL * (1.0 + np.sqrt(np.add.reduce(x * x, axis=1)))
+            ok = err <= tol
+            stuck = ok & cut & (u5 == x).all(axis=1)
+            cut = ~ok
+            grow = np.minimum(np.maximum(0.9 * np.fmax(tol / err, 0.0) ** 0.2, 0.2), 5.0)
+            h = np.where(ok & (step < h), h, step * grow)
+            x[ok] = u5[ok]
+            rem = np.where(ok, rem - step, rem)
+            t = t0 + (span - rem)
+            blow = ok & (np.sqrt(np.add.reduce(u5 * u5, axis=1)) > escape_norm)
+            stall = ((t + h == t) | stuck) & ~blow
+            halt = blow | stall
+            if halt.any():
+                x[stall] = np.nan
+                gone = live[halt]
+                stop[gone], left[gone] = seg[halt], rem[halt]
+                after = np.arange(segs)[None, :, None] >= seg[halt][:, None, None]
+                bounds[gone] = np.where(after, x[halt][:, None, :], bounds[gone])
+                seg[halt], rem[halt] = segs, 0.0
+
+
+def norm_coverage(cloud, grid):
+    """(hits, num_in_annulus, num_below_annulus, num_beyond_annulus) of the
+    cloud on the grid, binned in one piece with the row norms of
+    np.linalg.norm and the annulus rows gathered by pts[ok]."""
+    pts = np.asarray(cloud, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(pts, axis=1)
+    ok = np.flatnonzero((norms >= grid.r_min) & (norms <= grid.r_max))
+    hits = np.zeros(grid.total_cells, dtype=bool)
+    if ok.size:
+        r = norms[ok]
+        a_idx = grid.angular_index(pts[ok] / r[:, None])
+        if grid.antipodal:
+            a_idx = a_idx % (grid.num_angular // 2)
+        span = np.log(grid.r_max) - np.log(grid.r_min)
+        rbin = ((np.log(r) - np.log(grid.r_min)) / span * grid.radial_bins)
+        rbin = np.minimum(rbin.astype(int), grid.radial_bins - 1)
+        hits[a_idx * grid.radial_bins + rbin] = True
+    below = int(np.count_nonzero(norms < grid.r_min))
+    return hits, ok.size, below, len(pts) - ok.size - below

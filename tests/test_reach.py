@@ -23,6 +23,7 @@ from bilinctrl.reach import (
     spread_directions,
     _COVERAGE_BLOCK,
     _SAMPLE_BLOCK,
+    _runner,
     _schedule_blocks,
     _schedule_from_row,
     _schedule_tables,
@@ -30,6 +31,9 @@ from bilinctrl.reach import (
 
 from oracles import (
     expm_product,
+    fancy_index_integrate_table,
+    fancy_index_run,
+    norm_coverage,
     one_shot_coverage,
     one_table_sample,
     python_sum_rk_step,
@@ -165,16 +169,18 @@ def test_smooth_blowup_detection():
         assert traj.times[-1] == pytest.approx(t_end, rel=1e-9)
 
 
+def _wall(pts):
+    """A field that is NaN from x = 2 on: rows that reach it stall."""
+    out = np.zeros_like(pts)
+    out[..., 0] = np.where(pts[..., 0] < 2.0, 1.0, np.nan)
+    return out
+
+
 def test_smooth_stall_raises():
     # the field is NaN from x = 2 on, which it reaches 2 time units into the
     # segment: steps toward it shrink until they no longer move that clock
-    def wall(pts):
-        out = np.zeros_like(pts)
-        out[..., 0] = np.where(pts[..., 0] < 2.0, 1.0, np.nan)
-        return out
-
     with pytest.raises(OverflowError):
-        simulate(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
+        simulate(smooth_system(2, (_wall,)), ControlSchedule(((0, 5.0),)),
                         [0.0, 1.0])
 
 
@@ -182,13 +188,8 @@ def test_smooth_stall_early_in_long_segment_raises(deadline):
     # from (1.999, 1) the NaN region is 0.001 time units in, so a step that
     # no longer moves the state still moves that clock; this used to loop
     # without end, so a deadline fails the test instead of hanging it
-    def wall(pts):
-        out = np.zeros_like(pts)
-        out[..., 0] = np.where(pts[..., 0] < 2.0, 1.0, np.nan)
-        return out
-
     with deadline(20), pytest.raises(OverflowError):
-        simulate(smooth_system(2, (wall,)), ControlSchedule(((0, 5.0),)),
+        simulate(smooth_system(2, (_wall,)), ControlSchedule(((0, 5.0),)),
                         [1.999, 1.0])
 
 
@@ -243,6 +244,119 @@ def test_integrate_table_is_row_order_independent():
     permuted = integrate_table(EX1.fields, *(a[perm] for a in table), BLOWUP_NORM)
     for got, want in zip(permuted, (bounds, stop, left)):
         assert got.tobytes() == want[perm].tobytes()
+
+
+def _smooth_table(fields, rows, seed):
+    """A table of rows over the fields with zero durations inside rows,
+    rows that escape (the gated pusher) and rows that stall (the wall)."""
+    _, indices, durations = _schedule_tables(len(fields), rows, seed, 6, 0.8)
+    durations[1::3, 2] = 0.0
+    x0s = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(rows, 2))
+    return x0s, indices, durations
+
+
+@pytest.mark.parametrize("rows", [1, 7, 32, 4096])
+@pytest.mark.parametrize("fields", [(*EX1.fields, _wall), (EX1.fields[2],)],
+                         ids=["several-fields", "one-field"])
+def test_integrate_table_matches_fancy_index_oracle(fields, rows):
+    # gathers by take and the accepted steps copied in under a row mask give
+    # the rows, bit for bit, that a[keep] and x[ok] = u5[ok] gave
+    table = _smooth_table(fields, rows, seed=rows)
+    got = integrate_table(fields, *table, BLOWUP_NORM)
+    want = fancy_index_integrate_table(fields, *table, BLOWUP_NORM)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    if rows >= 32:  # rows that finish, escape and (with the wall) stall
+        stop = got[1]
+        assert (stop == 6).any() and (stop < 6).any()
+        assert np.isnan(got[0]).any() == (len(fields) > 1)
+
+
+def _diagonalizable_pair(n, rotate, seed):
+    """Two generators P D_k P^-1 with eigenvalues of real parts from -1 to 1:
+    real for rotate False, else a conjugate pair a +- bi per 2 x 2 block."""
+    rng = np.random.default_rng([n, rotate, seed])
+    mats = []
+    for k in range(2):
+        d = np.diag(np.linspace(-1.0, 1.0, n) if n > 1 else [1.0 - 2.0 * k])
+        if rotate:
+            for i in range(0, n - 1, 2):
+                d[i, i] = d[i + 1, i + 1]
+                d[i, i + 1], d[i + 1, i] = -1.5 - k, 1.5 + k
+        p = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        mats.append(p @ d @ np.linalg.inv(p))
+    return mats
+
+
+EVIDENCE_SPECS = {
+    **{f"real{n}": bilinear_system(_diagonalizable_pair(n, False, 0)) for n in (1, 2, 3, 5)},
+    **{f"complex{n}": bilinear_system(_diagonalizable_pair(n, True, 0)) for n in (2, 3, 5)},
+    "so3": SO3, "planar_jd": PJ, "identity_only": builtin_corpus("identity_only"),
+    "e12_e21": E12_E21, "shift_lz": SHIFT_LZ,
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 32, 4096])
+@pytest.mark.parametrize("name", list(EVIDENCE_SPECS))
+def test_runner_and_coverage_match_fancy_index_oracles(name, rows):
+    # the runner's take gathers and row-record scatters, and coverage's
+    # column-wise norms and take gather, give the bounds, the cloud and the
+    # coverage counts, bit for bit, of x[sel], x[sel] = ... and linalg.norm;
+    # zero durations sit inside rows, and durations of 2000 overflow rows
+    # to inf and NaN wherever a real part is positive
+    spec = EVIDENCE_SPECS[name]
+    _, indices, durations = _schedule_tables(spec.num_fields, rows, rows, 20, 0.5)
+    durations[1::3, 4] = 0.0
+    durations[::5, 1] = 2000.0
+    x0 = np.eye(spec.n)[0]
+    for x0s in (np.broadcast_to(x0, (rows, spec.n)),
+                np.random.default_rng(rows).standard_normal((rows, spec.n))):
+        got = _runner(spec)(x0s, indices, durations)
+        want = fancy_index_run(spec, x0s, indices, durations)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    bounds = got[0]
+    if name.startswith(("real", "complex")):
+        assert not np.isfinite(bounds).all()
+    cloud = bounds.transpose(1, 0, 2)[durations.T > 0.0]
+    for grid in (CoverageGrid(spec.n), CoverageGrid(spec.n, angular_cells=12, radial_bins=5,
+                                                    r_min=0.5, r_max=3.0, antipodal=True)):
+        rep = coverage(cloud, grid)
+        hits, inside, below, beyond = norm_coverage(cloud, grid)
+        assert rep.hits.tobytes() == hits.tobytes()
+        assert (rep.num_in_annulus, rep.num_below_annulus, rep.num_beyond_annulus) == \
+            (inside, below, beyond)
+
+
+def _layouts(a):
+    """a as C-ordered, Fortran-ordered and transposed-view arrays, and as a
+    view with a column stride of two."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]), dtype=a.dtype)
+    wide[:, ::2] = a
+    return (np.ascontiguousarray(a), np.asfortranarray(a),
+            np.ascontiguousarray(a.T).T, wide[:, ::2])
+
+
+@pytest.mark.parametrize("spec", [SO3, random_system(5, 2, 3), EX1],
+                         ids=["so3", "random5", "example1"])
+def test_runners_ignore_input_layout(spec):
+    # the bilinear runner moves whole rows as records of a C-ordered state,
+    # and integrate_table keeps a C-ordered state too: x0s broadcast or laid
+    # out in any order, and tables given as strided views, run the same
+    rows = 40
+    _, indices, durations = _schedule_tables(spec.num_fields, rows, 2, 6, 0.5)
+    x0 = np.eye(spec.n)[-1]
+    starts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(rows, spec.n))
+    run = _runner(spec)
+    want = run(starts, indices, durations)
+    for x0s in _layouts(starts):
+        for idx, dur in zip(_layouts(indices), _layouts(durations)):
+            for g, w in zip(run(x0s, idx, dur), want):
+                assert g.tobytes() == w.tobytes()
+    broadcast = run(np.broadcast_to(x0, (rows, spec.n)), *_layouts(indices)[3:],
+                    *_layouts(durations)[3:])
+    for g, w in zip(broadcast, run(np.tile(x0, (rows, 1)), indices, durations)):
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("segs", [0, 3])
@@ -635,6 +749,29 @@ def test_coverage_counts_only_finite_rows(n, antipodal):
         assert r.num_below_annulus + r.num_in_annulus + r.num_beyond_annulus == r.num_points
     assert rep.hit_count == ref.hit_count > 0
     np.testing.assert_array_equal(rep.hits, ref.hits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 17, 130])
+def test_row_norms_match_linalg_norm_at_extremes(n):
+    # coverage sums the squares column by column in the order np.add.reduce
+    # sums a row, so its norms equal np.linalg.norm's bit for bit, for rows
+    # whose squares overflow (1e200), come near the largest double (1e154),
+    # hold inf or NaN, or underflow (subnormals), and it warns of none of it
+    rng = np.random.default_rng(n)
+    scales = np.array([1.0, 1e200, -1e154, 1e-160, 5e-324, 2.2e-308, 1e-310, 0.0, -0.0])
+    scale = np.repeat(rng.choice(scales, size=(4000, 1)), n, axis=1)
+    scale[::7] = rng.choice(scales, size=(len(scale[::7]), n))  # rows of mixed scales
+    pts = rng.standard_normal((4000, n)) * scale
+    pts[rng.choice(4000, 300), rng.integers(0, n, 300)] = np.inf
+    pts[rng.choice(4000, 300), rng.integers(0, n, 300)] = -np.inf
+    pts[rng.choice(4000, 300), rng.integers(0, n, 300)] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(pts, axis=1)
+    assert np.isinf(want).any() and np.isnan(want).any() and (want == 0.0).any()
+    assert CoverageGrid._norms(pts).tobytes() == want.tobytes()
+    if n <= 5:  # no RuntimeWarning escapes coverage either
+        rep = coverage(pts, CoverageGrid(n, r_min=1e-300, r_max=1e300))
+        assert rep.num_beyond_annulus == np.count_nonzero(~(want <= 1e300))
 
 
 @pytest.mark.parametrize("rows", [0, 1, _COVERAGE_BLOCK, _COVERAGE_BLOCK + 1,
