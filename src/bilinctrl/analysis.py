@@ -50,6 +50,14 @@ class LarcFailure:
     sigma_min: float
     sigma_max: float
 
+    kind: ClassVar[str] = "rank_drop_witness"
+
+    def doc(self) -> dict:
+        """The report form of the certificate."""
+        return {"kind": self.kind, "witness": [float(v) for v in self.witness],
+                "dim": self.dim, "sigma_min": self.sigma_min,
+                "sigma_max": self.sigma_max}
+
 
 @dataclass(frozen=True, eq=False)
 class MonotoneNorm:
@@ -63,6 +71,13 @@ class MonotoneNorm:
 
     direction: str  # "nondecreasing" | "nonincreasing" | "constant"
     sym_eigenvalues: tuple
+
+    kind: ClassVar[str] = "monotone_norm"
+
+    def doc(self) -> dict:
+        """The report form of the certificate."""
+        return {"kind": self.kind, "direction": self.direction,
+                "sym_eigenvalues": [list(e) for e in self.sym_eigenvalues]}
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +176,8 @@ def contains_sl(basis: LieBasis) -> bool:
         abs(np.trace(b)) <= TRACE_ZERO for b in basis.basis))
 
 
-_PRESCAN = 512
+_PRESCAN = 512  # scan points of the rank-drop search, whatever --samples says
+_ANGULAR_SCAN_CAP = 4096  # the angular scan takes min(--samples, this) points
 _ANGULAR_RESTARTS = 8
 _FIRST_STEP = 0.1
 _MIN_STEP = 1e-13
@@ -315,7 +331,8 @@ def decide_controllability(spec: SystemSpec,
     """Run the full decision pipeline on a system.
 
     Bilinear systems go through Lie closure, rank-drop search, the monotone
-    norm certificate, and finally attainable-set coverage.  Smooth systems
+    norm certificate, and finally attainable-set coverage, which runs only
+    when neither certificate was issued.  Smooth systems
     skip the certificate stages and can only come out controllable
     (empirical) or undetermined.  The closure runs at lie_closure's default
     round cap of 2 n^2, which never binds: each bracketing round that does
@@ -335,7 +352,8 @@ def decide_controllability(spec: SystemSpec,
     lie_dim: int | None = None
     orbit_dims: tuple = ()
     angular = "unknown"
-    certificate = None
+    certificate: LarcFailure | MonotoneNorm | None = None
+    evidence: CoverageReport | None = None
 
     if spec.is_bilinear:
         basis = lie_closure(spec.family.matrices, tol=budgets.tol)
@@ -345,9 +363,9 @@ def decide_controllability(spec: SystemSpec,
         orbit_dims = orbit_dimension_profile(
             spec, samples=budgets.profile_samples, seed=budgets.seed,
             tol=budgets.tol, basis=basis)
-        ang = angular_accessibility(spec, samples=min(budgets.samples, 4096),
-                                    seed=budgets.seed, tol=budgets.tol, basis=basis)
-        angular = ang.status
+        angular = angular_accessibility(
+            spec, samples=min(budgets.samples, _ANGULAR_SCAN_CAP),
+            seed=budgets.seed, tol=budgets.tol, basis=basis).status
         mr = min_rank_search(spec, restarts=budgets.restarts,
                              seed=budgets.seed, tol=budgets.tol, basis=basis)
         diagnostics["min_sigma"] = mr.min_sigma
@@ -356,20 +374,19 @@ def decide_controllability(spec: SystemSpec,
             certificate = LarcFailure(witness=mr.argmin, dim=dim,
                                       sigma_min=mr.min_sigma,
                                       sigma_max=mr.sigma_max)
-            return Verdict("not_controllable", certificate, None, lie_dim,
-                           orbit_dims, angular, diagnostics)
-        certificate = monotone_norm_certificate(spec.family)
-        if certificate is not None:
-            return Verdict("not_controllable", certificate, None, lie_dim,
-                           orbit_dims, angular, diagnostics)
+        else:
+            certificate = monotone_norm_certificate(spec.family)
 
-    evidence = _reach_evidence(spec, budgets)
-    diagnostics["coverage_fraction"] = evidence.fraction
-    if evidence.fraction >= budgets.coverage_threshold:
-        return Verdict("controllable", None, evidence, lie_dim, orbit_dims,
-                       angular, diagnostics)
-    diagnostics["reason"] = (
-        f"coverage {evidence.fraction:.4f} below threshold "
-        f"{budgets.coverage_threshold}")
-    return Verdict("undetermined", None, evidence, lie_dim, orbit_dims,
-                   angular, diagnostics)
+    conclusion = "not_controllable"
+    if certificate is None:
+        evidence = _reach_evidence(spec, budgets)
+        diagnostics["coverage_fraction"] = evidence.fraction
+        if evidence.fraction >= budgets.coverage_threshold:
+            conclusion = "controllable"
+        else:
+            conclusion = "undetermined"
+            diagnostics["reason"] = (
+                f"coverage {evidence.fraction:.4f} below threshold "
+                f"{budgets.coverage_threshold}")
+    return Verdict(conclusion, certificate, evidence, lie_dim, orbit_dims, angular,
+                   diagnostics)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import AnalysisBudgets, LarcFailure, MonotoneNorm, Verdict, \
+from .analysis import _ANGULAR_SCAN_CAP, _PRESCAN, AnalysisBudgets, Verdict, \
     decide_controllability
 from .foliation import FoliationError, arc_family, orbit_tangent_distribution, \
     radial_graph_distribution, sphere_distribution
@@ -78,7 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[seed, cover, out, source],
                        help="run the decision pipeline and write a verdict report")
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int, default=10000,
+                   help="scan points of the angular accessibility search, "
+                        f"which reads at most {_ANGULAR_SCAN_CAP} of them, so "
+                        f"larger values act as {_ANGULAR_SCAN_CAP}; the rank-drop "
+                        f"search always scans {_PRESCAN} (default 10000)")
     p.add_argument("--coverage-threshold", type=fraction, default=0.99)
     p.set_defaults(func=cmd_analyze)
 
@@ -151,26 +155,6 @@ def _environment(args) -> dict:
     return env
 
 
-def _certificate_doc(cert) -> dict | None:
-    if cert is None:
-        return None
-    if isinstance(cert, LarcFailure):
-        return {
-            "kind": "rank_drop_witness",
-            "witness": [float(v) for v in cert.witness],
-            "dim": cert.dim,
-            "sigma_min": cert.sigma_min,
-            "sigma_max": cert.sigma_max,
-        }
-    if isinstance(cert, MonotoneNorm):
-        return {
-            "kind": "monotone_norm",
-            "direction": cert.direction,
-            "sym_eigenvalues": [list(e) for e in cert.sym_eigenvalues],
-        }
-    raise TypeError(f"unknown certificate type: {type(cert)!r}")
-
-
 def _evidence_doc(evidence) -> dict | None:
     if evidence is None:
         return None
@@ -199,7 +183,8 @@ def verdict_report(spec: SystemSpec, verdict: Verdict, args) -> dict:
         },
         "verdict": {
             "conclusion": verdict.conclusion,
-            "certificate": _certificate_doc(verdict.certificate),
+            "certificate": None if verdict.certificate is None
+                           else verdict.certificate.doc(),
             "evidence": _evidence_doc(verdict.evidence),
             "lie_dim": verdict.lie_dim,
             "orbit_dims": list(verdict.orbit_dims),

@@ -257,17 +257,18 @@ class FirstReturnResult:
     arc_velocities: np.ndarray  # (k, n) unit leaf-line directions at the arc points
 
 
-def _first_returns(distr: RadialDistribution, sections, start: np.ndarray,
+def _first_returns(distr: RadialDistribution, thetas: np.ndarray, start: np.ndarray,
                    max_arc: float) -> list:
-    """Leaf lines from the plane point start = (a, b), a > 0, of every
-    section to phi = pi, as one table of RETURN_PIECES equal angle pieces per
-    row.  Returns one FirstReturnResult per section, or the FoliationError
-    of the sections that fail; a line longer than max_arc does not return."""
-    rows = len(sections)
+    """Leaf lines from the plane point start = (a, b), a > 0, of the section
+    of every row of thetas (valid section directions) to phi = pi, as one
+    table of RETURN_PIECES equal angle pieces per row.  Returns one
+    FirstReturnResult per row, or the FoliationError of the rows that fail;
+    a line longer than max_arc does not return."""
+    rows = len(thetas)
     phi0 = float(np.arctan2(start[1], start[0]))
     x0s = np.zeros((rows, 3 + distr.n))
     x0s[:, 0], x0s[:, 1] = np.log(np.hypot(start[0], start[1])), phi0
-    x0s[:, 3:] = [sec.theta for sec in sections]
+    x0s[:, 3:] = thetas
     durations = np.full((rows, RETURN_PIECES), (np.pi - phi0) / RETURN_PIECES)
     bounds, stop, _ = integrate_table((_angle_rates(distr),), x0s,
                                       np.zeros(durations.shape, dtype=int), durations,
@@ -313,7 +314,7 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
     if u[0] <= 0.0:
         raise ValueError("start point must lie on the positive pole ray side")
     max_arc = 200.0 * max(1.0, float(np.linalg.norm(u)))
-    result = _first_returns(distr, [section], u, max_arc)[0]
+    result = _first_returns(distr, section.theta[None], u, max_arc)[0]
     if isinstance(result, FoliationError):
         raise result
     return result
@@ -359,8 +360,7 @@ def first_return_constancy(distr: RadialDistribution, theta_samples: int = 64,
     if theta_samples < 2:
         raise ValueError("theta_samples must be >= 2")
     thetas = _theta_samples(distr.n, theta_samples, seed)
-    results = _first_returns(distr, [planar_section(t) for t in thetas],
-                             np.array([1.0, 0.0]), 200.0)
+    results = _first_returns(distr, thetas, np.array([1.0, 0.0]), 200.0)
     failed = [k for k, res in enumerate(results) if isinstance(res, FoliationError)]
     if failed:
         raise SampleFailureError(

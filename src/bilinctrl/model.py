@@ -172,25 +172,16 @@ def _f_unit_up(pts):
     return out
 
 
-def _f_gated_down(pts):
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros_like(pts)
-    out[..., 1] = -example1_gate(pts)
-    return out
-
-
-def _f_gated_right(pts):
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros_like(pts)
-    out[..., 0] = example1_gate(pts)
-    return out
-
-
-def _f_gated_left(pts):
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros_like(pts)
-    out[..., 0] = -example1_gate(pts)
-    return out
+def _f_gated(axis: int, negate: bool):
+    """The example1 field whose only nonzero coordinate, axis, is the gate,
+    negated when negate is set."""
+    def field(pts):
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros_like(pts)
+        gate = example1_gate(pts)
+        out[..., axis] = -gate if negate else gate
+        return out
+    return field
 
 
 def builtin_corpus(name: str) -> SystemSpec:
@@ -211,7 +202,7 @@ def builtin_corpus(name: str) -> SystemSpec:
     if name == "example1":
         return smooth_system(
             2,
-            (_f_unit_up, _f_gated_down, _f_gated_right, _f_gated_left),
+            (_f_unit_up, _f_gated(1, True), _f_gated(0, False), _f_gated(0, True)),
             name="example1",
         )
     raise ValueError(f"unknown builtin system: {name!r} (choose from {BUILTIN_NAMES})")
@@ -269,7 +260,10 @@ def parse_system(text: str) -> SystemSpec:
             raise ValueError(f"matrices[{k}] has ragged rows")
         if len(rows) != ncols.pop():
             raise ValueError(f"matrices[{k}] is not square")
-        arr = np.array(rows, dtype=float)
+        try:
+            arr = np.array(rows, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"matrices[{k}] has entries beyond the float range") from None
         if arr.shape[0] != n:
             raise ValueError(f"matrices[{k}] has dimension {arr.shape[0]}, expected n = {n}")
         if not np.all(np.isfinite(arr)):

@@ -11,6 +11,7 @@ import bilinctrl
 from bilinctrl.analysis import AnalysisBudgets
 from bilinctrl.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_UNDETERMINED, \
     FOLIATION_EXAMPLES, _budgets, build_parser, main
+from bilinctrl.matlie import lie_closure, numerical_rank
 from bilinctrl.model import builtin_corpus, parse_system
 
 
@@ -63,15 +64,27 @@ def test_analyze_planar_jd_controllable(tmp_path):
     assert doc["verdict"]["evidence"]["fraction"] >= 0.99
 
 
-def test_analyze_certificate_reverifiable_from_report(tmp_path):
+@pytest.mark.parametrize("name", ["expanding_pair", "so3", "identity_only"])
+def test_analyze_certificate_reverifiable_from_report(tmp_path, name):
     out = tmp_path / "report.json"
-    run("analyze", "--builtin", "expanding_pair", "--samples", "500",
+    run("analyze", "--builtin", name, "--samples", "500",
         "--out", str(out))
     doc = json.loads(out.read_text())
     cert = doc["verdict"]["certificate"]
-    assert cert["kind"] == "monotone_norm"
-    for eigs in cert["sym_eigenvalues"]:
-        assert min(eigs) >= -1e-12
+    if name == "expanding_pair":
+        assert cert["kind"] == "monotone_norm"
+        for eigs in cert["sym_eigenvalues"]:
+            assert min(eigs) >= -1e-12
+        return
+    # a rank-drop witness, re-checked from the report and the spec alone
+    assert cert["kind"] == "rank_drop_witness"
+    spec, tol = builtin_corpus(name), doc["environment"]["tol"]
+    basis = lie_closure(spec.family.matrices, tol=tol)
+    witness = np.array(cert["witness"])
+    s = np.linalg.svd(np.column_stack([b @ witness for b in basis.basis]),
+                      compute_uv=False)
+    assert basis.dim < spec.n or s[spec.n - 1] <= tol * s[0]
+    assert cert["dim"] == numerical_rank(s, tol)
 
 
 def test_analyze_undetermined_exit_code(tmp_path):
@@ -103,9 +116,13 @@ def test_analyze_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert not out.exists()
 
 
-def test_analyze_rejects_non_number_entry(tmp_path, capsys):
+@pytest.mark.parametrize("entry", ['{"a": 1}', "1" + "0" * 400],
+                         ids=["object", "beyond_float_range"])
+def test_analyze_rejects_non_number_entry(tmp_path, capsys, entry):
+    # an integer beyond the float range used to overflow in the float
+    # conversion and exit 3 as a numerical failure
     bad = tmp_path / "bad.json"
-    bad.write_text('{"n": 2, "matrices": [[[{"a": 1}, 0], [0, 0]]]}')
+    bad.write_text('{"n": 2, "matrices": [[[%s, 0], [0, 0]]]}' % entry)
     assert run("analyze", "--spec", str(bad)) == EXIT_INVALID
     err = capsys.readouterr().err
     assert "error:" in err and "matrices[0]" in err
