@@ -337,7 +337,8 @@ def decide_controllability(spec: SystemSpec,
     (empirical) or undetermined.  The closure runs at lie_closure's default
     round cap of 2 n^2, which never binds: each bracketing round that does
     not end the loop admits a new direction of gl(n), so the loop stops
-    within n^2 rounds and the closure always converges.  The verdict is
+    within n^2 rounds and the closure always converges (the diagnostics
+    carry no convergence flag).  The verdict is
     undetermined exactly when the coverage stays below the threshold.  The
     coverage evidence is that of sample_attainable's cloud from e1, binned
     one block of schedule rows at a time as they are sampled: for a bilinear
@@ -358,7 +359,6 @@ def decide_controllability(spec: SystemSpec,
     if spec.is_bilinear:
         basis = lie_closure(spec.family.matrices, tol=budgets.tol)
         lie_dim = basis.dim
-        diagnostics["closure_converged"] = basis.converged
         diagnostics["closure_depth"] = basis.depth
         orbit_dims = orbit_dimension_profile(
             spec, samples=budgets.profile_samples, seed=budgets.seed,

@@ -411,46 +411,27 @@ def spread_directions(rng: np.random.Generator, n: int, count: int) -> np.ndarra
     return np.array(chosen)
 
 
-def _pairwise_sum(terms: list) -> np.ndarray:
-    """The sum of equal-shape arrays, added in place into the first ones, in
-    the order np.add.reduce sums the entries of a contiguous row of
-    len(terms): in turn for fewer than 8, from 8 running partial sums for up
-    to 128, halves of whole eights beyond.  Summing the columns of a table
-    this way gives its row sums bit for bit, without numpy's per-row loop."""
-    count = len(terms)
-    if count < 8:
-        total = terms[0]
-        for term in terms[1:]:
-            total += term
-        return total
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    part = terms[:8]
-    for i in range(8, count - count % 8):
-        part[i % 8] += terms[i]
-    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
-    for term in terms[count - count % 8:]:
-        total += term
-    return total
-
-
 class CoverageGrid:
     """Angular cells times log-radial bins over an annulus.
 
-    The angular partition is equal-area for n <= 3: arcs for n = 2, bands
-    of equal height split into sectors for n = 3.  For n > 3 it is the
+    The angular partition follows one of two rules.  For n <= 3 it is
+    equal-area: bands of equal height in x_2 split into sectors of equal
+    azimuth, with one band for n <= 2 and one pair of sectors for n = 1 (so
+    arcs for n = 2 and the two half-lines for n = 1).  For n > 3 it is the
     nearest-center partition of a seeded spread point set, whose cells do
     not have equal area.  Cell counts are adjusted so the partition is
     symmetric under x -> -x, and cells are numbered so that the antipode of
-    angular cell i is cell (i + num_angular // 2) % num_angular: for n = 3
+    angular cell i is cell (i + num_angular // 2) % num_angular: for n <= 3
     the cells of azimuth in [0, pi) come first, band b and sector s < S/2 as
     b S/2 + s, and the far half in reverse band order.  The pairing is exact
     on cell edges too: of u and -u, the one whose first nonzero coordinate
     in the order x_1, x_0, x_2, ..., x_(n-1) is positive is binned, and the
     other gets the partner of its cell.  The antipodal (projective) quotient
-    cell of i is then i % (num_angular // 2).  Smooth clouds stop at their
-    first state past BLOWUP_NORM, so radial bins beyond it hold only those.
+    cell of i is then i % (num_angular // 2).  Row norms are summed column
+    by column below 8 columns and left to np.add.reduce from 8 up; both
+    equal np.linalg.norm(rows, axis=1) bit for bit.  Smooth clouds stop at
+    their first state past BLOWUP_NORM, so radial bins beyond it hold only
+    those.
     """
 
     def __init__(self, n: int, angular_cells: int = 32, radial_bins: int = 16,
@@ -468,14 +449,11 @@ class CoverageGrid:
         self.r_max = float(r_max)
         self.antipodal = bool(antipodal)
         self._centers = None
-        self._bands = self._sectors = 0
-        if n == 1:
-            self.num_angular = 2
-        elif n == 2:
-            self.num_angular = max(2, 2 * int(round(angular_cells / 2)))
-        elif n == 3:
-            bands = max(1, int(round(np.sqrt(angular_cells / 2.0))))
-            sectors = max(2, 2 * int(round(angular_cells / bands / 2.0)))
+        if n <= 3:
+            # bands x sectors: one band for n <= 2, one sector pair for n = 1
+            bands = max(1, int(round(np.sqrt(angular_cells / 2.0)))) if n == 3 else 1
+            sectors = (max(2, 2 * int(round(angular_cells / bands / 2.0)))
+                       if n > 1 else 2)
             self._bands, self._sectors = bands, sectors
             self.num_angular = bands * sectors
         else:
@@ -503,22 +481,22 @@ class CoverageGrid:
             flip[rest] = units[rest, k] < 0.0
             rest = rest[units[rest, k] == 0.0]
         sign = np.where(flip, -1.0, 1.0)
-        if self.n == 1:
-            idx = np.zeros(len(units), dtype=int)
-        elif self.n == 2:
-            # + 0.0 turns -0.0 into 0.0, so the azimuth of c lies in [0, pi]
-            az = np.arctan2(sign * units[:, 1] + 0.0, sign * units[:, 0])
-            idx = np.minimum((az / (2.0 * np.pi / self.num_angular)).astype(int),
-                             self.num_angular // 2 - 1)
-        elif self.n == 3:
-            z = np.clip(sign * units[:, 2], -1.0, 1.0)
-            band = np.minimum(((z + 1.0) / 2.0 * self._bands).astype(int),
-                              self._bands - 1)
-            az = np.arctan2(sign * units[:, 1] + 0.0, sign * units[:, 0])
+        if self.n <= 3:
+            # band b and sector s of c are cell b * half + s; a lone sector
+            # pair or band leaves its term 0, so n <= 2 computes no band
+            # and n = 1 no azimuth
             half = self._sectors // 2
-            sector = np.minimum((az / (2.0 * np.pi / self._sectors)).astype(int),
-                                half - 1)
-            idx = band * half + sector
+            idx = np.zeros(len(units), dtype=int)
+            if half > 1:
+                # + 0.0 turns -0.0 into 0.0, so the azimuth of c lies in [0, pi]
+                az = np.arctan2(sign * units[:, 1] + 0.0, sign * units[:, 0])
+                idx = np.minimum((az / (2.0 * np.pi / self._sectors)).astype(int),
+                                 half - 1)
+            if self._bands > 1:
+                z = np.clip(sign * units[:, 2], -1.0, 1.0)
+                band = np.minimum(((z + 1.0) / 2.0 * self._bands).astype(int),
+                                  self._bands - 1)
+                idx += half * band
         else:
             idx = np.argmax((units * sign[:, None]) @ self._centers.T, axis=1)
         return np.where(flip, self.antipodal_partner(idx), idx)
@@ -540,10 +518,17 @@ class CoverageGrid:
 
     @staticmethod
     def _norms(pts: np.ndarray) -> np.ndarray:
-        # np.linalg.norm(pts, axis=1) bit for bit, without its per-row loop;
-        # a row with a NaN or inf entry has a NaN or inf norm, outside the annulus
+        # np.linalg.norm(pts, axis=1) bit for bit: np.add.reduce adds a row of
+        # fewer than 8 entries in turn, so the columns are added in turn
+        # without its per-row loop, and wider rows are left to it; a row with
+        # a NaN or inf entry has a NaN or inf norm, outside the annulus
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.sqrt(_pairwise_sum([c * c for c in pts.T]))
+            if pts.shape[1] >= 8:
+                return np.sqrt(np.add.reduce(pts * pts, axis=1))
+            total = pts[:, 0] * pts[:, 0]
+            for col in pts.T[1:]:
+                total += col * col
+            return np.sqrt(total)
 
     def _cells(self, pts: np.ndarray, norms: np.ndarray) -> np.ndarray:
         """cell_indices of the rows pts, given their norms."""
@@ -597,8 +582,9 @@ class CoverageReport:
 def _bin_blocks(blocks, grid: CoverageGrid) -> CoverageReport:
     """The coverage report of the rows of all the arrays in blocks, taken
     in turn and each binned in slices of _COVERAGE_BLOCK rows whose hits are
-    ORed into one table.  A slice's norms are summed column by column
-    (CoverageGrid._norms) and its rows in the annulus gathered with take."""
+    ORed into one table.  A slice's norms (CoverageGrid._norms) are summed
+    column by column below 8 columns and by np.add.reduce from 8 up, and its
+    rows in the annulus gathered with take."""
     hits = np.zeros(grid.total_cells, dtype=bool)
     points = below = inside = 0
     for block in blocks:
@@ -633,8 +619,11 @@ def coverage(cloud: np.ndarray, grid: CoverageGrid) -> CoverageReport:
     The cloud is binned in fixed blocks of rows, each block's hits ORed
     into one table, so the memory coverage needs beyond its input does not
     grow with the cloud.  Each row's norm is computed once, column by column
-    and bit for bit what np.linalg.norm(rows, axis=1) gives, and serves both
-    its cell and the radial counts.  The sampled evidence of
+    below 8 columns and by np.add.reduce from 8 up, bit for bit what
+    np.linalg.norm(rows, axis=1) gives, and serves both its cell and the
+    radial counts.  The angular cell follows the grid's partition rule:
+    bands x sectors for n <= 3, nearest center for n > 3.  The sampled
+    evidence of
     decide_controllability and the ``reach`` command go through the same
     binning loop one block of schedule rows at a time, so they never hold a
     whole cloud."""

@@ -21,7 +21,8 @@ with ``x[sel]`` and ``x[sel] = ...`` instead of ``take``, row records and
 ``copyto``, and the norm coverage oracle takes its row norms from numpy's
 ``linalg.norm`` instead of column sums.  ``split_segments`` cuts a
 schedule into equal pieces, so that ``simulate`` records states inside its
-segments.
+segments.  ``verdict_corpus`` holds bilinear systems whose controllability
+follows from how they are built, not from any library computation.
 """
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ from scipy.integrate import solve_ivp
 
 from bilinctrl.foliation import TRANS_TOL, RadialDistribution
 from bilinctrl.matlie import numerical_rank
-from bilinctrl.model import ControlSchedule
+from bilinctrl.model import ControlSchedule, bilinear_system, builtin_corpus
 from bilinctrl.reach import (
     SMOOTH_TOL,
     _field_rows,
@@ -524,3 +525,79 @@ def norm_coverage(cloud, grid):
         hits[a_idx * grid.radial_bins + rbin] = True
     below = int(np.count_nonzero(norms < grid.r_min))
     return hits, ok.size, below, len(pts) - ok.size - below
+
+
+def _conjugated(mats, rng, cond):
+    """P M P^-1 for each M, with P = q1 diag(geomspace(1, cond, n)) q2 for
+    seeded random orthogonal q1 and q2, so P has condition number cond."""
+    n = len(mats[0])
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    p = q1 @ np.diag(np.geomspace(1.0, cond, n)) @ q2
+    p_inv = np.linalg.inv(p)
+    return [p @ np.asarray(m, dtype=float) @ p_inv for m in mats]
+
+
+def verdict_corpus():
+    """(name, spec, controllable) for bilinear systems whose answer follows
+    from their construction.
+
+    Not controllable:
+    - a common invariant subspace: two Gaussian generators whose lower-left
+      (n - k) x k block is zero keep span(e_1, ..., e_k), conjugated at
+      condition numbers 1 and 1e3;
+    - a common quadratic norm: M_i = Q^-1 (A_i A_i^T + K_i) with
+      Q = B B^T + I and K_i skew never decreases x^T Q x; one generator is
+      scaled by 37;
+    - so(2,1) + R I, with boosts K1 = E13 + E31 and K2 = E23 + E32: the
+      light cone x_1^2 + x_2^2 = x_3^2 is invariant, also with the
+      generators shifted by multiples of I;
+    - so3 (its orbits are spheres) and expanding_pair (a common norm grows),
+      conjugated at condition numbers 1 and 10.
+    Controllable: planar_jd and {Lx, Ly, diag(1, -1, 0)}, whose closures
+    contain sl(n) with every generator reversible, plain and conjugated at
+    condition number 10.
+    """
+    systems = []
+    for n, k in ((3, 1), (3, 2), (4, 2), (5, 2)):
+        for seed in range(3):
+            rng = np.random.default_rng([n, k, seed])
+            mats = rng.standard_normal((2, n, n))
+            mats[:, k:, :k] = 0.0
+            for cond in (1.0, 1e3):
+                systems.append((f"invariant_n{n}_k{k}_s{seed}_c{cond:g}",
+                                _conjugated(mats, rng, cond), False))
+    for n in (2, 3):
+        for seed in range(3):
+            rng = np.random.default_rng([n, seed, 37])
+            b = rng.standard_normal((n, n))
+            q_inv = np.linalg.inv(b @ b.T + np.eye(n))
+            mats = []
+            for _ in range(2):
+                a, g = rng.standard_normal((2, n, n))
+                mats.append(q_inv @ (a @ a.T + (g - g.T)))
+            mats[0] = 37.0 * mats[0]
+            systems.append((f"quadratic_norm_n{n}_s{seed}", mats, False))
+    k1 = np.zeros((3, 3))
+    k1[0, 2] = k1[2, 0] = 1.0
+    k2 = np.zeros((3, 3))
+    k2[1, 2] = k2[2, 1] = 1.0
+    eye = np.eye(3)
+    systems += [
+        ("so21_plus_identity", [k1, k2, eye], False),
+        ("so21_shift_opposite", [k1 + 0.1 * eye, k2 - 0.1 * eye], False),
+        ("so21_shift_same", [k1 + 0.1 * eye, k2 + 0.1 * eye], False),
+    ]
+    for name in ("so3", "expanding_pair"):
+        mats = builtin_corpus(name).family.matrices
+        rng = np.random.default_rng(len(name))
+        for cond in (1.0, 10.0):
+            systems.append((f"{name}_c{cond:g}", _conjugated(mats, rng, cond), False))
+    lx, ly, _ = (np.asarray(m) for m in builtin_corpus("so3").family.matrices)
+    for name, mats in (("planar_jd", builtin_corpus("planar_jd").family.matrices),
+                       ("lx_ly_diag", [lx, ly, np.diag([1.0, -1.0, 0.0])])):
+        rng = np.random.default_rng(len(name))
+        systems.append((name, list(mats), True))
+        systems.append((f"{name}_c10", _conjugated(mats, rng, 10.0), True))
+    return [(name, bilinear_system(mats, name=name), controllable)
+            for name, mats, controllable in systems]

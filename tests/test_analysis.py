@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from oracles import (
     projected_tangent_rank,
     sphere_min_sigma,
     split_segments,
+    verdict_corpus,
 )
 
 SO3 = builtin_corpus("so3")
@@ -400,3 +402,18 @@ def test_decide_memory_does_not_grow_with_the_budget(reach_budget):
         tracemalloc.stop()
     assert verdict.evidence.num_points > 10 * reach_budget
     assert peak < 16 * 2**20
+
+
+def test_verdict_corpus_has_no_wrong_verdict():
+    # a wrong verdict is controllable on a system built not controllable, or
+    # a certificate on one built controllable; undetermined is never wrong,
+    # so its count is printed but not asserted
+    budgets = AnalysisBudgets(samples=2000, reach_budget=30000, seed=0)
+    tally, wrong = Counter(), []
+    for name, spec, controllable in verdict_corpus():
+        conclusion = decide_controllability(spec, budgets).conclusion
+        tally[conclusion] += 1
+        if conclusion == ("not_controllable" if controllable else "controllable"):
+            wrong.append((name, conclusion))
+    print(f"verdict corpus: {tally.total()} systems, {dict(tally)}")
+    assert not wrong

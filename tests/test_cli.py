@@ -52,6 +52,8 @@ def test_analyze_report_schema_complete(tmp_path):
     for key in ("conclusion", "certificate", "evidence", "lie_dim",
                 "orbit_dims", "angular", "diagnostics"):
         assert key in verdict
+    # the closure always converges, so the report carries no flag for it
+    assert "closure_converged" not in verdict["diagnostics"]
 
 
 def test_analyze_planar_jd_controllable(tmp_path):

@@ -720,6 +720,49 @@ def test_antipodal_pairing_is_exact_on_cell_edges(n, cells):
         assert hits == 8
 
 
+def _off_edges(values, margin=1e-6):
+    """Rows whose every value lies at least margin from an integer."""
+    return np.all(np.abs(values - np.round(values)) >= margin, axis=1)
+
+
+@pytest.mark.parametrize("cells", [2, 8, 18, 32, 101])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_equal_area_cells_follow_closed_form(n, cells):
+    # which half-line, arc or band x sector a point lands in, away from the
+    # cell edges, from the documented rule rather than from angular_index
+    grid = CoverageGrid(n, angular_cells=cells)
+    rng = np.random.default_rng([n, cells])
+    units = rng.standard_normal((4000, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    num = grid.num_angular
+    if n == 1:
+        assert num == 2
+        want = np.where(units[:, 0] > 0.0, 0, 1)
+    elif n == 2:
+        theta = np.mod(np.arctan2(units[:, 1], units[:, 0]), 2.0 * np.pi)
+        pos = theta * num / (2.0 * np.pi)
+        keep = _off_edges(pos[:, None])
+        units, want = units[keep], np.floor(pos[keep]).astype(int)
+    else:
+        bands = max(1, int(round(np.sqrt(cells / 2.0))))
+        sectors = max(2, 2 * int(round(cells / bands / 2.0)))
+        assert num == bands * sectors
+        az = np.mod(np.arctan2(units[:, 1], units[:, 0]), 2.0 * np.pi)
+        near = az < np.pi
+        # the antipode of a point with azimuth in [pi, 2 pi) has it in [0, pi)
+        z = np.where(near, units[:, 2], -units[:, 2])
+        az = np.where(near, az, az - np.pi)
+        band_pos = (z + 1.0) * bands / 2.0
+        sector_pos = az * sectors / (2.0 * np.pi)
+        keep = _off_edges(np.column_stack([band_pos, sector_pos]))
+        cell = (np.floor(band_pos).astype(int) * (sectors // 2)
+                + np.floor(sector_pos).astype(int))
+        want = np.where(near, cell, (cell + num // 2) % num)
+        units, want = units[keep], want[keep]
+    assert len(units) > 3000
+    np.testing.assert_array_equal(grid.angular_index(units), want)
+
+
 @pytest.mark.parametrize("antipodal", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_coverage_counts_only_finite_rows(n, antipodal):
