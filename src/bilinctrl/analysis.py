@@ -96,8 +96,12 @@ class Verdict:
 @dataclass(frozen=True)
 class AnalysisBudgets:
     """Sampling and tolerance settings for decide_controllability: the fields
-    are the ones the ``analyze`` command sets from its flags.  The coverage
-    evidence always starts at the first basis vector.
+    are the ones the ``analyze`` command sets from its flags.  ``samples`` is
+    the number of points the angular accessibility scan takes, as given.
+    The coverage evidence always starts at the first basis vector.
+    decide_controllability checks every field before any stage runs:
+    samples, reach_budget, angular_cells and radial_bins at least 1, seed at
+    least 0, tol in (0, 1) and coverage_threshold in (0, 1].
 
     The class constants are the pipeline's fixed values; they stay readable
     as attributes because stage-by-stage replays of the pipeline (the
@@ -105,7 +109,7 @@ class AnalysisBudgets:
     lie_closure's default round cap, which a closure in gl(n) never reaches.
     """
 
-    samples: int = 10000
+    samples: int = 4096
     reach_budget: int = 100000
     coverage_threshold: float = 0.99
     tol: float = DEFAULT_TOL
@@ -172,12 +176,11 @@ def contains_sl(basis: LieBasis) -> bool:
     triangular matrices; for n >= 3 there are none), so the squares of its
     basis traces sum to n."""
     full = basis.n * basis.n
-    return basis.dim == full or (basis.dim == full - 1 and all(
-        abs(np.trace(b)) <= TRACE_ZERO for b in basis.basis))
+    return basis.dim == full or (basis.dim == full - 1 and bool(np.all(
+        np.abs(np.trace(basis.basis, axis1=1, axis2=2)) <= TRACE_ZERO)))
 
 
 _PRESCAN = 512  # scan points of the rank-drop search, whatever --samples says
-_ANGULAR_SCAN_CAP = 4096  # the angular scan takes min(--samples, this) points
 _ANGULAR_RESTARTS = 8
 _FIRST_STEP = 0.1
 _MIN_STEP = 1e-13
@@ -190,7 +193,7 @@ def _sigma_n(basis: LieBasis, pts: np.ndarray, radial: bool):
     are its singular vectors.  The M_k are the basis elements, with radial
     also the identity (whose column is x itself); there are at least n."""
     n = pts.shape[1]
-    cols, mats = basis.stacked_at(pts), np.reshape(basis.basis, (basis.dim, n, n))
+    cols, mats = basis.stacked_at(pts), basis.basis
     if radial:
         cols = np.concatenate([cols, pts[:, :, None]], axis=2)
         mats = np.concatenate([mats, np.eye(n)[None]])
@@ -343,10 +346,18 @@ def decide_controllability(spec: SystemSpec,
     coverage evidence is that of sample_attainable's cloud from e1, binned
     one block of schedule rows at a time as they are sampled: for a bilinear
     system the memory it takes does not grow with reach_budget (a smooth
-    table runs whole).
+    table runs whole).  A budget out of range (see AnalysisBudgets) raises
+    ValueError naming its field, before any stage runs, whatever the system.
     """
     if budgets is None:
         budgets = AnalysisBudgets()
+    for name in ("samples", "reach_budget", "angular_cells", "radial_bins"):
+        if getattr(budgets, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(budgets, name)}")
+    if budgets.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {budgets.seed}")
+    if not 0.0 < budgets.tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {budgets.tol}")
     if not 0.0 < budgets.coverage_threshold <= 1.0:
         raise ValueError("coverage_threshold must lie in (0, 1]")
     diagnostics: dict = {}
@@ -364,8 +375,8 @@ def decide_controllability(spec: SystemSpec,
             spec, samples=budgets.profile_samples, seed=budgets.seed,
             tol=budgets.tol, basis=basis)
         angular = angular_accessibility(
-            spec, samples=min(budgets.samples, _ANGULAR_SCAN_CAP),
-            seed=budgets.seed, tol=budgets.tol, basis=basis).status
+            spec, samples=budgets.samples, seed=budgets.seed, tol=budgets.tol,
+            basis=basis).status
         mr = min_rank_search(spec, restarts=budgets.restarts,
                              seed=budgets.seed, tol=budgets.tol, basis=basis)
         diagnostics["min_sigma"] = mr.min_sigma

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import _ANGULAR_SCAN_CAP, _PRESCAN, AnalysisBudgets, Verdict, \
-    decide_controllability
+from .analysis import _PRESCAN, AnalysisBudgets, Verdict, decide_controllability
 from .foliation import FoliationError, arc_family, orbit_tangent_distribution, \
     radial_graph_distribution, sphere_distribution
 from .matlie import DEFAULT_TOL
@@ -78,11 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[seed, cover, out, source],
                        help="run the decision pipeline and write a verdict report")
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
-    p.add_argument("--samples", type=int, default=10000,
-                   help="scan points of the angular accessibility search, "
-                        f"which reads at most {_ANGULAR_SCAN_CAP} of them, so "
-                        f"larger values act as {_ANGULAR_SCAN_CAP}; the rank-drop "
-                        f"search always scans {_PRESCAN} (default 10000)")
+    p.add_argument("--samples", type=int, default=4096,
+                   help="scan points of the angular accessibility search; the "
+                        f"rank-drop search always scans {_PRESCAN} (default 4096)")
     p.add_argument("--coverage-threshold", type=fraction, default=0.99)
     p.set_defaults(func=cmd_analyze)
 

@@ -131,13 +131,12 @@ def orbit_tangent_distribution(spec: SystemSpec, basis: LieBasis | None = None,
     if basis is None:
         basis = lie_closure(spec.family.matrices, tol=tol)
     n = spec.n
-    mats = np.reshape(basis.basis, (basis.dim, n, n))
 
     def normal(x):
         x = np.asarray(x, dtype=float)
         ok = np.isfinite(x).all(axis=-1)  # no SVD of non-finite points
         pts = x if ok.all() else x[ok]
-        u, s, _ = np.linalg.svd(np.einsum("kij,...j->...ik", mats, pts))  # basis.stacked_at
+        u, s, _ = np.linalg.svd(basis.stacked_at(pts))
         nv = np.where((numerical_rank(s, tol) == n - 1)[..., None], u[..., -1], np.nan)
         if pts is x:
             return nv
@@ -257,13 +256,14 @@ class FirstReturnResult:
     arc_velocities: np.ndarray  # (k, n) unit leaf-line directions at the arc points
 
 
-def _first_returns(distr: RadialDistribution, thetas: np.ndarray, start: np.ndarray,
-                   max_arc: float) -> list:
+def _first_returns(distr: RadialDistribution, thetas: np.ndarray,
+                   start: np.ndarray) -> list:
     """Leaf lines from the plane point start = (a, b), a > 0, of the section
     of every row of thetas (valid section directions) to phi = pi, as one
     table of RETURN_PIECES equal angle pieces per row.  Returns one
     FirstReturnResult per row, or the FoliationError of the rows that fail;
-    a line longer than max_arc does not return."""
+    a line longer than 200 max(1, |start|) does not return."""
+    max_arc = 200.0 * max(1.0, float(np.linalg.norm(start)))
     rows = len(thetas)
     phi0 = float(np.arctan2(start[1], start[0]))
     x0s = np.zeros((rows, 3 + distr.n))
@@ -313,8 +313,7 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
         u = np.array(_plane_coords(section, start))
     if u[0] <= 0.0:
         raise ValueError("start point must lie on the positive pole ray side")
-    max_arc = 200.0 * max(1.0, float(np.linalg.norm(u)))
-    result = _first_returns(distr, section.theta[None], u, max_arc)[0]
+    result = _first_returns(distr, section.theta[None], u)[0]
     if isinstance(result, FoliationError):
         raise result
     return result
@@ -360,7 +359,7 @@ def first_return_constancy(distr: RadialDistribution, theta_samples: int = 64,
     if theta_samples < 2:
         raise ValueError("theta_samples must be >= 2")
     thetas = _theta_samples(distr.n, theta_samples, seed)
-    results = _first_returns(distr, thetas, np.array([1.0, 0.0]), 200.0)
+    results = _first_returns(distr, thetas, np.array([1.0, 0.0]))
     failed = [k for k, res in enumerate(results) if isinstance(res, FoliationError)]
     if failed:
         raise SampleFailureError(

@@ -64,14 +64,17 @@ def bracket(a, b) -> np.ndarray:
 class LieBasis:
     """Frobenius-orthonormal basis of a bracket-closed matrix subspace.
 
-    ``depth`` counts the breadth-first bracketing rounds that produced new
-    directions (generators are depth 0).  ``converged`` is False when the
-    round cap was hit before the closure stabilized; the basis is still
-    returned but the closure invariant is unverified.
+    ``basis`` is one read-only (dim, n, n) array, element k being
+    ``basis[k]``; it iterates, indexes and has ``len`` like a sequence of
+    matrices, and every evaluation reads it as it is.  ``depth`` counts the
+    breadth-first bracketing rounds that produced new directions
+    (generators are depth 0).  ``converged`` is False when the round cap
+    was hit before the closure stabilized; the basis is still returned but
+    the closure invariant is unverified.
     """
 
     n: int
-    basis: tuple
+    basis: np.ndarray
     dim: int
     tol: float
     depth: int
@@ -80,8 +83,7 @@ class LieBasis:
     def stacked_at(self, x) -> np.ndarray:
         """Columns b @ x for each basis element b: an n x dim matrix at a
         point x, and a stack (..., n, dim) at a stack of points (..., n)."""
-        mats = np.reshape(self.basis, (self.dim, self.n, self.n))
-        return np.einsum("kij,...j->...ik", mats, np.asarray(x, dtype=float))
+        return np.einsum("kij,...j->...ik", self.basis, np.asarray(x, dtype=float))
 
 
 def numerical_rank(s, tol: float):
@@ -160,7 +162,7 @@ def lie_closure(generators, tol: float = DEFAULT_TOL, depth_cap: int | None = No
     converged = len(basis) in (start, n * n)
     basis = basis.reshape(-1, n, n)
     basis.setflags(write=False)
-    return LieBasis(n=n, basis=tuple(basis), dim=len(basis), tol=tol, depth=depth,
+    return LieBasis(n=n, basis=basis, dim=len(basis), tol=tol, depth=depth,
                     converged=converged)
 
 

@@ -545,7 +545,8 @@ def verdict_corpus():
     Not controllable:
     - a common invariant subspace: two Gaussian generators whose lower-left
       (n - k) x k block is zero keep span(e_1, ..., e_k), conjugated at
-      condition numbers 1 and 1e3;
+      condition numbers 1 and 1e3, and at seed 0 also at 1e6 (drawn after
+      the other two, so adding it moved no other system's matrices);
     - a common quadratic norm: M_i = Q^-1 (A_i A_i^T + K_i) with
       Q = B B^T + I and K_i skew never decreases x^T Q x; one generator is
       scaled by 37;
@@ -559,12 +560,12 @@ def verdict_corpus():
     condition number 10.
     """
     systems = []
-    for n, k in ((3, 1), (3, 2), (4, 2), (5, 2)):
+    for n, k in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2)):
         for seed in range(3):
             rng = np.random.default_rng([n, k, seed])
             mats = rng.standard_normal((2, n, n))
             mats[:, k:, :k] = 0.0
-            for cond in (1.0, 1e3):
+            for cond in (1.0, 1e3, 1e6) if seed == 0 else (1.0, 1e3):
                 systems.append((f"invariant_n{n}_k{k}_s{seed}_c{cond:g}",
                                 _conjugated(mats, rng, cond), False))
     for n in (2, 3):

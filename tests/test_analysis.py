@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -99,7 +100,7 @@ def test_sphere_search_matches_circle_oracle_where_sigma_varies():
     ang = angular_accessibility(spec, samples=400, seed=0, basis=basis)
     assert ang.status == "accessible"
     assert ang.min_sigma == pytest.approx(
-        circle_min_sigma(basis.basis + (np.eye(2),), 2), rel=1e-6)
+        circle_min_sigma((*basis.basis, np.eye(2)), 2), rel=1e-6)
 
 
 # Rank drops on thin sets: {diag(1, -1), E12} only on the line x2 = 0,
@@ -387,6 +388,28 @@ def test_decide_rejects_coverage_threshold_outside_unit_interval(threshold):
                               coverage_threshold=threshold)
     with pytest.raises(ValueError, match="coverage_threshold"):
         decide_controllability(PJ, budgets)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("samples", 0), ("reach_budget", 0), ("angular_cells", 0), ("radial_bins", -3),
+    ("seed", -1), ("tol", 0.0), ("tol", 1.0), ("tol", np.nan)])
+def test_decide_rejects_every_budget_out_of_range_on_any_system(field, value):
+    # checked before any stage runs: so3 is certified before the coverage
+    # stage that reads reach_budget and the grid, and example1 is smooth,
+    # so it runs no angular scan
+    budgets = dataclasses.replace(AnalysisBudgets(samples=200, reach_budget=2000),
+                                  **{field: value})
+    for spec in (SO3, builtin_corpus("example1")):
+        with pytest.raises(ValueError, match=field):
+            decide_controllability(spec, budgets)
+
+
+def test_angular_scan_takes_every_sample_given(monkeypatch):
+    # the scan is the first sigma evaluation of the pipeline; so3's closure
+    # does not contain sl(3), so the scan evaluates all of its points
+    calls = _count_sigma_calls(monkeypatch)
+    decide_controllability(SO3, AnalysisBudgets(samples=5000, reach_budget=2000))
+    assert calls[0] == 5000
 
 
 @pytest.mark.parametrize("reach_budget", [30000, 100000])

@@ -107,6 +107,21 @@ def test_analyze_invalid_spec(tmp_path, capsys):
     assert "not square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--grid", "0"),
+                                        ("--radial-bins", "0"), ("--samples", "0"),
+                                        ("--seed", "-1")])
+@pytest.mark.parametrize("name", ["so3", "example1"])
+def test_analyze_rejects_out_of_range_settings_on_every_system(tmp_path, capsys,
+                                                                name, flag, value):
+    # so3 is certified before the coverage stage, and example1 is smooth and
+    # runs no angular scan: each setting is checked whether or not it is read
+    out = tmp_path / "report.json"
+    assert run("analyze", "--builtin", name, "--samples", "200", "--budget", "2000",
+               flag, value, "--out", str(out)) == EXIT_INVALID
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "1", "2", "0"])
 def test_analyze_rejects_bad_tolerance(tmp_path, capsys, tol):
     # a relative tolerance of 1 or more, or NaN, would put a rank drop
