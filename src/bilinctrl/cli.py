@@ -48,6 +48,17 @@ def fraction(text: str) -> float:
     return value
 
 
+def at_least(low: int):
+    """The type of an integer flag whose least valid value is low, so that
+    argparse names the flag in its range error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bilinctrl",
@@ -58,14 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     # small parents, each shared only by the subcommands that read its flags
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--seed", type=at_least(0), default=0)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=str, default=None)
     cover = argparse.ArgumentParser(add_help=False)  # sampling and coverage grid
-    cover.add_argument("--budget", type=int, default=100000)
-    cover.add_argument("--grid", type=int, default=32,
+    cover.add_argument("--budget", type=at_least(1), default=100000)
+    cover.add_argument("--grid", type=at_least(1), default=32,
                        help="number of angular cells (default 32)")
-    cover.add_argument("--radial-bins", type=int, default=16)
+    cover.add_argument("--radial-bins", type=at_least(1), default=16)
     cover.add_argument("--projective", action="store_true",
                        help="measure coverage on the antipodal quotient")
 
@@ -77,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[seed, cover, out, source],
                        help="run the decision pipeline and write a verdict report")
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
-    p.add_argument("--samples", type=int, default=4096,
+    p.add_argument("--samples", type=at_least(1), default=4096,
                    help="scan points of the angular accessibility search; the "
                         f"rank-drop search always scans {_PRESCAN} (default 4096)")
     p.add_argument("--coverage-threshold", type=fraction, default=0.99)
@@ -97,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the orbit tangents of a bilinear builtin")
     group.add_argument("--spec", type=str,
                        help="orbit tangents of a bilinear system document")
-    p.add_argument("--theta-samples", type=int, default=64)
+    p.add_argument("--theta-samples", type=at_least(2), default=64)
     p.add_argument("--dim", type=int, default=None,
                    help="state dimension for --example (default 3)")
     p.add_argument("--tol", type=tolerance, default=None)  # orbit tangents only

@@ -9,8 +9,11 @@ Transversality makes the curve's angle phi around the origin strictly
 increasing, so the curve is the graph phi -> log r(phi), and its first
 return to the opposite ray is its value at phi = pi: there is no crossing to
 search for.  Every section's curve is one row of one table, integrated over
-the angle by reach.integrate_table; the module then checks that the return
-radius does not depend on theta.
+the angle by reach.integrate_table in error-controlled steps that run
+across the arc points: the return point, radius, winding and arc length are
+stepped states at phi = pi, and the arc points between are read off the
+4th-order continuous extension of the step that passes them.  The module
+then checks that the return radius does not depend on theta.
 """
 
 from __future__ import annotations
@@ -242,9 +245,12 @@ def _plane_coords(section: PlanarSection, x) -> tuple[float, float]:
 class FirstReturnResult:
     """First crossing of the opposite ray, with the arc that led there.
 
-    arc_velocities are the oriented leaf-line field at the arc points: unit
-    vectors along the leaf in the section plane, turned so that the angle
-    around the origin increases (toward +theta at the pole).
+    p_return, radius, winding and arc_length come from the stepped state at
+    the return; the arc points between start and return, and their arc
+    parameters, from the integrator's continuous extension.  arc_velocities
+    are the oriented leaf-line field at the arc points: unit vectors along
+    the leaf in the section plane, turned so that the angle around the
+    origin increases (toward +theta at the pole).
     """
 
     p_return: np.ndarray
@@ -260,19 +266,21 @@ def _first_returns(distr: RadialDistribution, thetas: np.ndarray,
                    start: np.ndarray) -> list:
     """Leaf lines from the plane point start = (a, b), a > 0, of the section
     of every row of thetas (valid section directions) to phi = pi, as one
-    table of RETURN_PIECES equal angle pieces per row.  Returns one
-    FirstReturnResult per row, or the FoliationError of the rows that fail;
-    a line longer than 200 max(1, |start|) does not return."""
+    table of one segment per row, stepped under error control alone.  The
+    arc points at the ends of RETURN_PIECES equal angle pieces come from the
+    continuous extension of the steps (integrate_table's per_segment), the
+    one at phi = pi is the stepped state.  Returns one FirstReturnResult per
+    row, or the FoliationError of the rows that fail; a line longer than
+    200 max(1, |start|) does not return."""
     max_arc = 200.0 * max(1.0, float(np.linalg.norm(start)))
     rows = len(thetas)
     phi0 = float(np.arctan2(start[1], start[0]))
     x0s = np.zeros((rows, 3 + distr.n))
     x0s[:, 0], x0s[:, 1] = np.log(np.hypot(start[0], start[1])), phi0
     x0s[:, 3:] = thetas
-    durations = np.full((rows, RETURN_PIECES), (np.pi - phi0) / RETURN_PIECES)
-    bounds, stop, _ = integrate_table((_angle_rates(distr),), x0s,
-                                      np.zeros(durations.shape, dtype=int), durations,
-                                      ESCAPE_NORM)
+    bounds, stop, _ = integrate_table(
+        (_angle_rates(distr),), x0s, np.zeros((rows, 1), dtype=int),
+        np.full((rows, 1), np.pi - phi0), ESCAPE_NORM, per_segment=RETURN_PIECES)
     states = np.concatenate([x0s[:, None, :], bounds], axis=1)
     points, velocities = (a.reshape(rows, -1, distr.n) for a in _points_and_velocities(
         distr, states.reshape(-1, states.shape[2])))
@@ -282,7 +290,7 @@ def _first_returns(distr: RadialDistribution, thetas: np.ndarray,
         if not np.isfinite(states[k]).all():
             out.append(TransversalityError(
                 "leaf normal turned radial or undefined along the arc"))
-        elif stop[k] < RETURN_PIECES or arcs[k, -1] > max_arc:
+        elif stop[k] == 0 or arcs[k, -1] > max_arc:
             out.append(NoReturnError(
                 f"no crossing of the opposite ray within arc length {max_arc}"))
         else:
@@ -300,7 +308,10 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
     the plane on the pole's side) to the opposite ray.
 
     The line is integrated over its angle phi to phi = pi, where it meets
-    the ray; arc points are recorded at RETURN_PIECES equal angle pieces.
+    the ray, in steps chosen by error control alone: the return point,
+    radius, winding and arc length are the stepped state there.  Arc points
+    at the ends of RETURN_PIECES equal angle pieces are read off the
+    continuous extension of the steps that pass them.
     Raises TransversalityError where the leaf tangent turns radial, and
     NoReturnError when the line's row (log r, phi, arc length, theta) passes
     ESCAPE_NORM = 1e12 or its arc length exceeds 200 max(1, |start|).  That

@@ -71,15 +71,34 @@ _RK_B5 = ([0, 2, 3, 4, 5],
 _RK_B4 = ([0, 2, 3, 4], np.array([25 / 216, 1408 / 2565, 2197 / 4104, -1 / 5]))
 
 
-def rk_step(f, u, h):
+# the continuous extension u(t + theta h) ~ u + h sum_i b_i(theta) k_i of a
+# step, on the six stages and k_6 = f(u5), the next step's first stage: row i
+# holds the coefficients of theta, ..., theta^4 in b_i.  It meets the eight
+# order conditions up to order 4 at every theta, and b(1) is _RK_B5.
+_RK_DENSE = np.array([
+    (1.0, -427 / 180, 239 / 108, -13 / 18),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 15232 / 4275, -2560 / 513, 1664 / 855),
+    (0.0, -182351 / 37620, 24167 / 2052, -2197 / 342),
+    (0.0, 53 / 25, -5.0, 27 / 10),
+    (0.0, 2 / 55, 0.0, 0.0),
+    (0.0, 3 / 2, -4.0, 5 / 2),
+])
+
+
+def rk_step(f, u, h, ks=None):
     """One Fehlberg 4(5) step of u' = f(u) for a state or a stack of rows u,
     with one signed step h or one per row: the 5th-order states and the norm
     of each row's embedded error estimate.  The stages fill one stacked
     buffer, and each weighted stage sum is one einsum, which accumulates
-    from 0 in stage order, as a Python sum over the stages would."""
+    from 0 in stage order, as a Python sum over the stages would.  A caller
+    may pass that buffer as ks, at least six stages long with ks[0] = f(u)
+    already in place: the step then skips that call and leaves its stages
+    in ks for a continuous extension to read."""
     h = np.asarray(h, dtype=float)[..., None]
-    ks = np.empty((6, *np.shape(u)))
-    ks[0] = f(u)
+    if ks is None:
+        ks = np.empty((6, *np.shape(u)))
+        ks[0] = f(u)
     for i, row in enumerate(_RK_A, 1):
         ks[i] = f(u + h * np.einsum("i,i...->...", row, ks[:i]))
     u5, u4 = (u + h * np.einsum("i,i...->...", c, ks[idx]) for idx, c in (_RK_B5, _RK_B4))
@@ -103,19 +122,25 @@ def _field_rows(fields, field):
     return f
 
 
-def integrate_table(fields, x0s, indices, durations, escape_norm):
+def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1):
     """Run the segments (indices[r, j], durations[r, j]) of each table row r
     from x0s[r] along u' = fields[indices[r, j]](u), each field mapping
     stacks of rows to stacks of rows, with one clock and step size per row
     and local error per step below SMOOTH_TOL * (1 + |x|); a negative
-    duration runs backward.  Returns (bounds, stop, left): bounds[r, j] is
-    row r's state after segment j.  A row stops in segment stop[r] (else the
-    segment count) with left[r] of it to go once its norm passes escape_norm,
-    and then stays put in bounds, or once its step no longer moves its clock
-    (the time since the row's start), or its state right after a rejected
-    step, and then turns non-finite.  The caller picks escape_norm: schedule
-    rows stop at BLOWUP_NORM, foliation's leaf lines, whose state holds an
-    arc length that may legitimately pass it, at foliation.ESCAPE_NORM.
+    duration runs backward.  Returns (bounds, stop, left): with
+    m = per_segment, bounds[r, j m + i - 1] is row r's state at the fraction
+    i/m of segment j, for i = 1, ..., m.  Steps are clipped only at segment
+    ends, so the state at a segment's end (i = m) is a stepped state, and
+    the states inside it (m > 1) are read off the 4th-order continuous
+    extension (_RK_DENSE) of the step that passes them.  A row stops in
+    segment stop[r] (else the segment count) with left[r] of it to go once
+    its norm passes escape_norm, and then stays put in bounds, or once its
+    step no longer moves its clock (the time since the row's start), or its
+    state right after a rejected step, and then turns non-finite: every
+    state of bounds after its halt time is its halted one.  The caller
+    picks escape_norm: schedule rows stop at BLOWUP_NORM, foliation's leaf
+    lines, whose state holds an arc length that may legitimately pass it,
+    at foliation.ESCAPE_NORM.
 
     All live rows step in lock step, one rk_step on the whole stack per
     step, on a C-ordered state whatever the layout of x0s.  With several
@@ -123,11 +148,16 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
     slice of rows; a one-field table (every leaf table) runs its field on
     the whole stack and gathers the live rows (with take) only when some
     row has left.  Accepted steps are copied in with copyto under a row
-    mask, not scattered.  Every row runs bit for bit as it would alone."""
+    mask, not scattered.  With m > 1 each step calls the field once more,
+    at the states it reached, which is the continuous extension's last
+    stage and the next step's first; with m = 1 nothing of that runs.
+    Every row runs bit for bit as it would alone."""
     rows, segs = durations.shape
+    m, n = per_segment, x0s.shape[1]
     spans = np.abs(durations)
     starts = np.cumsum(spans, axis=1) - spans
-    bounds = np.empty((rows, segs, x0s.shape[1]))
+    bounds = np.empty((rows, segs * m, n))
+    flat, by_segment = bounds.reshape(-1, n), bounds.reshape(rows, segs, m, n)
     stop, left = np.full(rows, segs), np.zeros(rows)
     if not rows:
         return bounds, stop, left
@@ -136,6 +166,9 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
     live, x, seg = np.arange(rows), np.array(x0s, dtype=float, order="C"), np.full(rows, -1)
     rem, h, cut = np.zeros(rows), np.full(rows, 0.01), np.zeros(rows, dtype=bool)
     f = fields[0]  # a one-field table's field; else set with each sort
+    # with m > 1: the fractions of the states inside a segment, the stages of
+    # a step and f(x), the first stage of the next
+    fractions, ks, k0 = np.arange(1, m) / m, None, None
     # trial steps that overflow have a non-finite error and are rejected
     with np.errstate(all="ignore"):
         while True:
@@ -143,7 +176,10 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
                 done = np.flatnonzero((rem == 0.0) & (seg < segs))
                 while done.size:
                     rec = done[seg[done] >= 0]
-                    bounds[live[rec], seg[rec]] = x[rec]
+                    by_segment[live[rec], seg[rec], -1] = x[rec]
+                    if m > 1:  # a segment of no time has all its states at its end
+                        rec = rec[spans[live[rec], seg[rec]] == 0.0]
+                        by_segment[live[rec], seg[rec]] = x[rec, None]
                     seg[done] += 1
                     done = done[seg[done] < segs]
                     rem[done] = spans[live[done], seg[done]]
@@ -159,8 +195,15 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
                     live, x, seg, rem, h, cut = (
                         a.take(keep, axis=0) for a in (live, x, seg, rem, h, cut))
                 dur, span, t0 = durations[live, seg], spans[live, seg], starts[live, seg]
+                if m > 1:  # the times of the states inside the segments, and f(x)
+                    times = span[:, None] * fractions
+                    k0 = f(x) if k0 is None or len(fields) > 1 else k0.take(keep, axis=0)
             step = np.minimum(h, rem)
-            u5, err = rk_step(f, x, np.copysign(step, dur))
+            if m > 1:
+                was, ks = span - rem, np.empty((7, *x.shape))
+                ks[0] = k0
+            signed = np.copysign(step, dur)
+            u5, err = rk_step(f, x, signed, ks)
             tol = SMOOTH_TOL * (1.0 + np.sqrt(np.add.reduce(x * x, axis=1)))
             ok = err <= tol
             # a step that moves the state fails, one that passes does not move it
@@ -168,8 +211,20 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
             cut = ~ok
             grow = np.minimum(np.maximum(0.9 * np.fmax(tol / err, 0.0) ** 0.2, 0.2), 5.0)
             h = np.where(ok & (step < h), h, step * grow)
-            np.copyto(x, u5, where=ok[:, None])
             rem = np.where(ok, rem - step, rem)  # exactly 0 after the last step
+            if m > 1:  # record the states the accepted steps passed
+                ks[6] = f(u5)
+                r, i = ((times > was[:, None]) & (times <= (span - rem)[:, None])).nonzero()
+                theta = ((times[r, i] - was.take(r)) / step.take(r))[:, None]
+                # each row's extension as a polynomial in theta, summed by Horner
+                c = (_RK_DENSE.T @ ks.reshape(7, -1)).reshape(4, *x.shape) * signed[:, None]
+                c = c.take(r, axis=1)
+                poly = c[3]
+                for k in (2, 1, 0):
+                    poly = poly * theta + c[k]
+                flat[((live * segs + seg) * m).take(r) + i] = x.take(r, axis=0) + theta * poly
+                k0 = np.where(ok[:, None], ks[6], ks[0])  # f(x) after the step
+            np.copyto(x, u5, where=ok[:, None])
             t = t0 + (span - rem)  # time since the row's start
             blow = ok & (np.sqrt(np.add.reduce(u5 * u5, axis=1)) > escape_norm)
             stall = ((t + h == t) | stuck) & ~blow
@@ -178,7 +233,10 @@ def integrate_table(fields, x0s, indices, durations, escape_norm):
                 x[stall] = np.nan
                 gone = live[halt]
                 stop[gone], left[gone] = seg[halt], rem[halt]
-                after = np.arange(segs)[None, :, None] >= seg[halt][:, None, None]
+                first = seg[halt] * m  # the first state of bounds after the halt
+                if m > 1:
+                    first += np.add.reduce(times[halt] <= (span - rem)[halt, None], axis=1)
+                after = np.arange(segs * m)[None, :, None] >= first[:, None, None]
                 bounds[gone] = np.where(after, x[halt][:, None, :], bounds[gone])
                 seg[halt], rem[halt] = segs, 0.0
 

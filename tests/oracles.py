@@ -14,7 +14,9 @@ oracle draws the whole schedule table at once and runs it in one call
 instead of in blocks of rows, and the leaf oracle is the closed-form
 defining function of the radial-graph leaves, the Fehlberg-step oracle
 forms each stage sum as a plain Python sum of the weighted stages instead of
-one einsum over a stacked stage buffer, and the leaf-rate oracle computes
+one einsum over a stacked stage buffer, the continuous extension of that
+step is written in the closed form of its derivation in exact rational
+arithmetic, and the leaf-rate oracle computes
 the leaf frame with separate sin, cos and exp calls and numpy's norm and sum
 wrappers, the fancy-index runner and integrator gather and scatter rows
 with ``x[sel]`` and ``x[sel] = ...`` instead of ``take``, row records and
@@ -279,6 +281,38 @@ def python_sum_rk_step(f, u, h):
     u5 = u + h * sum(c * k for c, k in zip(_RK_B5, ks) if c)
     u4 = u + h * sum(c * k for c, k in zip(_RK_B4, ks) if c)
     return u5, np.linalg.norm(u5 - u4, axis=-1)
+
+
+# the Fehlberg 4(5) tableau in exact arithmetic, with the stage k_6 = f(u5)
+# of the continuous extension appended: its nodes c and its matrix A, whose
+# last row is the 5th-order weights
+FEHLBERG_C = tuple(Fraction(c) for c in ("0", "1/4", "3/8", "12/13", "1", "1/2", "1"))
+FEHLBERG_A = tuple(tuple(Fraction(a) for a in row) + (Fraction(0),) * (7 - len(row)) for row in (
+    (),
+    ("1/4",),
+    ("3/32", "9/32"),
+    ("1932/2197", "-7200/2197", "7296/2197"),
+    ("439/216", "-8", "3680/513", "-845/4104"),
+    ("-8/27", "2", "-3544/2565", "1859/4104", "-11/40"),
+    ("16/135", "0", "6656/12825", "28561/56430", "-9/50", "2/55"),
+))
+
+
+def fehlberg_dense_weights(theta):
+    """The weights b_0(theta), ..., b_6(theta) of the Fehlberg step's
+    continuous extension u + h sum_i b_i(theta) k_i, in the closed form of
+    its derivation (p = 2 theta^2 / 55), exact for a Fraction theta."""
+    t = theta
+    p = 2 * t**2 / Fraction(55)
+    return (
+        (33 * p - 312 * t**4 + 956 * t**3 - 1026 * t**2 + 432 * t) / Fraction(432),
+        Fraction(0),
+        -64 * (33 * p - 78 * t**4 + 200 * t**3 - 144 * t**2) / Fraction(2565),
+        -2197 * (3 * p + 24 * t**4 - 44 * t**3 + 18 * t**2) / Fraction(8208),
+        (11 * p + 54 * t**4 - 100 * t**3 + 42 * t**2) / Fraction(20),
+        p,
+        t**2 * (t - 1) * (5 * t - 3) / Fraction(2),
+    )
 
 
 def radial_graph_normal(n, slope):

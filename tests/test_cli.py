@@ -118,8 +118,21 @@ def test_analyze_rejects_out_of_range_settings_on_every_system(tmp_path, capsys,
     out = tmp_path / "report.json"
     assert run("analyze", "--builtin", name, "--samples", "200", "--budget", "2000",
                flag, value, "--out", str(out)) == EXIT_INVALID
-    assert "must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be" in err and flag in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("reach", "--builtin", "so3", "--grid", "0"),
+                                  ("reach", "--builtin", "so3", "--radial-bins", "0"),
+                                  ("foliation", "--example", "sphere",
+                                   "--theta-samples", "1")])
+def test_range_errors_name_the_flag(tmp_path, capsys, argv):
+    # the two coverage-grid sizes used to share one message naming neither
+    assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "must be" in err and argv[-2] in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "1", "2", "0"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bilinctrl import foliation
 from bilinctrl.foliation import (
     ESCAPE_NORM,
     RETURN_PIECES,
@@ -58,6 +59,47 @@ def test_leaf_line_field_continues_downward():
     res = first_return(sphere_distribution(3), planar_section(THETA))
     np.testing.assert_allclose(res.arc_points[32], THETA, atol=1e-14)
     np.testing.assert_allclose(res.arc_velocities[32], -POLE, atol=1e-14)
+
+
+def test_radial_graph_arc_points_match_the_piece_stepped_line():
+    # arc points are read off the continuous extension of steps that run
+    # across them; they must lie within 1e-8 of the states the integrator
+    # steps to with the line cut into RETURN_PIECES segments (a cubic
+    # Hermite interpolant misses by 7.6e-8), and on their leaf
+    distr = radial_graph_distribution(3, 0.3)
+    report = first_return_constancy(distr, theta_samples=64, seed=0)
+    x0s = np.zeros((64, 6))
+    x0s[:, 3:] = report.thetas
+    durations = np.full((64, RETURN_PIECES), np.pi / RETURN_PIECES)
+    bounds, stop, _ = integrate_table((_angle_rates(distr),), x0s,
+                                      np.zeros(durations.shape, dtype=int), durations,
+                                      ESCAPE_NORM)
+    assert (stop == RETURN_PIECES).all()
+    want = _points_and_velocities(distr, bounds.reshape(-1, 6))[0].reshape(64, -1, 3)
+    got = np.array([res.arc_points[1:] for res in report.results])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.values, np.exp(bounds[:, -1, 0]), rtol=0, atol=1e-9)
+    on_leaf = [radial_graph_leaf(pt, 0.3) for pt in got.reshape(-1, 3)]
+    np.testing.assert_allclose(on_leaf, radial_graph_leaf(POLE, 0.3), rtol=0, atol=1e-8)
+
+
+def test_sphere_leaf_table_steps_across_its_arc_points(monkeypatch):
+    # the sphere's leaf lines need about five error-controlled steps; a
+    # step clipped at each of the RETURN_PIECES arc points took 65 steps,
+    # 390 rate calls
+    calls = []
+
+    def counted(distr, rates=foliation._angle_rates):
+        field = rates(distr)
+
+        def rate(states):
+            calls.append(len(states))
+            return field(states)
+        return rate
+
+    monkeypatch.setattr(foliation, "_angle_rates", counted)
+    report = first_return_constancy(sphere_distribution(3), theta_samples=64)
+    assert report.constant and calls and len(calls) <= 60
 
 
 def test_flat_slope_reduces_to_sphere():

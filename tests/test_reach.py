@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from bilinctrl.reach import (
     simulate,
     spread_directions,
     _COVERAGE_BLOCK,
+    _RK_A,
+    _RK_B5,
+    _RK_DENSE,
     _SAMPLE_BLOCK,
     _runner,
     _schedule_blocks,
@@ -30,9 +34,12 @@ from bilinctrl.reach import (
 )
 
 from oracles import (
+    FEHLBERG_A,
+    FEHLBERG_C,
     expm_product,
     fancy_index_integrate_table,
     fancy_index_run,
+    fehlberg_dense_weights,
     norm_coverage,
     one_shot_coverage,
     one_table_sample,
@@ -229,6 +236,64 @@ def test_rk_step_matches_python_sum_oracle(rows, n):
             assert got.tobytes() == want.tobytes()
         for got, want in zip(rk_step(f, u[0], h[0]), python_sum_rk_step(f, u[0], h[0])):
             assert got.tobytes() == want.tobytes()  # a single state
+
+
+def test_continuous_extension_is_fourth_order_and_ends_at_the_step():
+    # in exact arithmetic: the tableau is the library's, the weights meet
+    # the eight order conditions up to order 4 at every theta tried, vanish
+    # at theta = 0 and are the 5th-order weights at theta = 1
+    a, c, r = FEHLBERG_A, FEHLBERG_C, range(7)
+    for i, row in enumerate(_RK_A, 1):
+        assert tuple(row) == tuple(float(v) for v in a[i][:i])
+    assert tuple(_RK_B5[1]) == tuple(float(a[6][i]) for i in _RK_B5[0])
+    assert all(sum(a[i]) == c[i] for i in r)
+    ac = [sum(a[i][j] * c[j] for j in r) for i in r]
+    for theta in (Fraction(k, 8) for k in range(9)):
+        b = fehlberg_dense_weights(theta)
+        conditions = (
+            (sum(b), theta),
+            (sum(b[i] * c[i] for i in r), theta**2 / 2),
+            (sum(b[i] * c[i]**2 for i in r), theta**3 / 3),
+            (sum(b[i] * ac[i] for i in r), theta**3 / 6),
+            (sum(b[i] * c[i]**3 for i in r), theta**4 / 4),
+            (sum(b[i] * c[i] * ac[i] for i in r), theta**4 / 8),
+            (sum(b[i] * a[i][j] * c[j]**2 for i in r for j in r), theta**4 / 12),
+            (sum(b[i] * a[i][j] * ac[j] for i in r for j in r), theta**4 / 24),
+        )
+        assert all(got == want for got, want in conditions)
+        # the library's coefficient table gives the same weights to rounding
+        table = float(theta) ** np.arange(1, 5) @ _RK_DENSE.T
+        np.testing.assert_allclose(table, [float(w) for w in b], rtol=0, atol=2e-15)
+    assert fehlberg_dense_weights(Fraction(0)) == (0,) * 7
+    assert fehlberg_dense_weights(Fraction(1)) == a[6][:6] + (0,)
+
+
+@pytest.mark.parametrize("fields", [(*EX1.fields, _wall), (EX1.fields[2],)],
+                         ids=["several-fields", "one-field"])
+def test_table_with_states_inside_segments_keeps_the_stepped_ends(fields):
+    # steps are clipped at segment ends whatever per_segment is, so every
+    # m-th state is the per_segment=1 one, bit for bit; a segment of no
+    # time holds its state throughout, and a halted row holds its halted
+    # state (NaN after a stall) from its halt time on
+    m, rows = 4, 64
+    table = _smooth_table(fields, rows, seed=9)
+    bounds, stop, left = integrate_table(fields, *table, BLOWUP_NORM)
+    dense, dense_stop, dense_left = integrate_table(fields, *table, BLOWUP_NORM,
+                                                    per_segment=m)
+    assert dense.shape == (rows, 6 * m, 2)
+    assert dense[:, m - 1::m].tobytes() == bounds.tobytes()
+    assert dense_stop.tobytes() == stop.tobytes() and dense_left.tobytes() == left.tobytes()
+    spans = np.abs(table[2])
+    by_segment = dense.reshape(rows, 6, m, 2)
+    times = spans[..., None] * np.arange(1, m + 1) / m  # of each state in its segment
+    held = times == times[..., -1:]  # a segment of no time, ...
+    for r in np.flatnonzero(stop < 6):  # ... or after a halt
+        held[r, stop[r]:] = True
+        held[r, stop[r], :-1] = times[r, stop[r], :-1] > spans[r, stop[r]] - left[r]
+    assert (stop < 6).any() and (spans == 0.0).any() and held.sum() > (spans == 0.0).sum() * m
+    ends = np.broadcast_to(by_segment[:, :, -1:], by_segment.shape)
+    np.testing.assert_array_equal(by_segment[held], ends[held])
+    assert np.isfinite(by_segment[~held]).all()
 
 
 def test_integrate_table_is_row_order_independent():
