@@ -109,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", type=str,
                        help="orbit tangents of a bilinear system document")
     p.add_argument("--theta-samples", type=at_least(2), default=64)
-    p.add_argument("--dim", type=int, default=None,
-                   help="state dimension for --example (default 3)")
+    p.add_argument("--dim", type=at_least(3), default=None,
+                   help="state dimension for --example, at least 3 (default 3)")
     p.add_argument("--tol", type=tolerance, default=None)  # orbit tangents only
     p.set_defaults(func=cmd_foliation)
 

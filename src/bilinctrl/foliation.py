@@ -18,7 +18,8 @@ then checks that the return radius does not depend on theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -174,8 +175,9 @@ def planar_section(theta) -> PlanarSection:
     if n < 3:
         raise ValueError("plane sections require n >= 3; the equatorial sphere "
                          "of directions is disconnected when n == 2")
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-9:
-        raise ValueError("theta must be a unit vector")
+    # a NaN coordinate compares false against both bounds, so check it first
+    if not np.isfinite(theta).all() or abs(np.linalg.norm(theta) - 1.0) > 1e-9:
+        raise ValueError("theta must be a finite unit vector")
     if abs(theta[-1]) > 1e-12:
         raise ValueError("theta must have zero last coordinate")
     pole = np.zeros(n)
@@ -192,18 +194,24 @@ def planar_section(theta) -> PlanarSection:
 # arc length run so far.  theta rides along with rate 0, since the integrator's
 # fields see only states.
 
+def _section_frame(states: np.ndarray):
+    """At the rows of states: the radii r, the points x = r e_r, and the unit
+    radial and angular directions e_r, e_phi of the section planes.  Rows
+    that overflowed or failed give NaN; callers silence their warnings."""
+    r, sin, cos = np.exp(states[:, 0]), np.sin(states[:, 1]), np.cos(states[:, 1])
+    thetas = states[:, 3:]
+    e_r, e_phi = sin[:, None] * thetas, cos[:, None] * thetas
+    e_r[:, -1] += cos  # theta has a zero last coordinate
+    e_phi[:, -1] -= sin
+    return r, r[:, None] * e_r, e_r, e_phi
+
+
 def _leaf_frame(distr: RadialDistribution, states: np.ndarray):
-    """At the rows of states: the radii r, the points x, the unit radial and
-    angular directions e_r, e_phi of the section planes, and the parts n_r,
-    n_phi of the unit leaf normal along them (NaN where the normal is
-    undefined or orthogonal to the ray)."""
-    with np.errstate(all="ignore"):  # rows that overflowed or failed give NaN
-        r, sin, cos = np.exp(states[:, 0]), np.sin(states[:, 1]), np.cos(states[:, 1])
-        thetas = states[:, 3:]
-        e_r, e_phi = sin[:, None] * thetas, cos[:, None] * thetas
-        e_r[:, -1] += cos  # theta has a zero last coordinate
-        e_phi[:, -1] -= sin
-        x = r[:, None] * e_r
+    """_section_frame of the rows of states, and the parts n_r, n_phi of the
+    unit leaf normal along e_r, e_phi (NaN where the normal is undefined or
+    orthogonal to the ray)."""
+    with np.errstate(all="ignore"):
+        r, x, e_r, e_phi = _section_frame(states)
         nv = _unit_normals(distr, x)
     return (r, x, e_r, e_phi, np.add.reduce(nv * e_r, axis=1),
             np.add.reduce(nv * e_phi, axis=1))
@@ -241,6 +249,23 @@ def _plane_coords(section: PlanarSection, x) -> tuple[float, float]:
     return a, b
 
 
+class _LeafTable:
+    """The states of one leaf table, (rows, k, 3 + n): each row's start and
+    its arc-point states.  velocities, the leaf-line directions at all of
+    them, are computed by one batched _points_and_velocities on first read
+    and kept for every row."""
+
+    def __init__(self, distr: RadialDistribution, states: np.ndarray):
+        self.distr = distr
+        self.states = states
+
+    @cached_property
+    def velocities(self) -> np.ndarray:
+        rows, k, width = self.states.shape
+        _, v = _points_and_velocities(self.distr, self.states.reshape(-1, width))
+        return v.reshape(rows, k, self.distr.n)
+
+
 @dataclass(frozen=True, eq=False)
 class FirstReturnResult:
     """First crossing of the opposite ray, with the arc that led there.
@@ -250,7 +275,9 @@ class FirstReturnResult:
     parameters, from the integrator's continuous extension.  arc_velocities
     are the oriented leaf-line field at the arc points: unit vectors along
     the leaf in the section plane, turned so that the angle around the
-    origin increases (toward +theta at the pole).
+    origin increases (toward +theta at the pole).  They are computed on
+    their first read, for every result of the result's table at once, so a
+    result holds its distribution and its table's states.
     """
 
     p_return: np.ndarray
@@ -259,7 +286,13 @@ class FirstReturnResult:
     arc_length: float
     arc_t: np.ndarray          # normalized arc parameter in [0, 1]
     arc_points: np.ndarray     # (k, n) ambient points from start to return
-    arc_velocities: np.ndarray  # (k, n) unit leaf-line directions at the arc points
+    _table: _LeafTable = field(repr=False)
+    _row: int = field(repr=False)
+
+    @property
+    def arc_velocities(self) -> np.ndarray:
+        """(k, n) unit leaf-line directions at the arc points."""
+        return self._table.velocities[self._row]
 
 
 def _first_returns(distr: RadialDistribution, thetas: np.ndarray,
@@ -269,8 +302,9 @@ def _first_returns(distr: RadialDistribution, thetas: np.ndarray,
     table of one segment per row, stepped under error control alone.  The
     arc points at the ends of RETURN_PIECES equal angle pieces come from the
     continuous extension of the steps (integrate_table's per_segment), the
-    one at phi = pi is the stepped state.  Returns one FirstReturnResult per
-    row, or the FoliationError of the rows that fail; a line longer than
+    one at phi = pi is the stepped state; they are read off the section
+    frame, with no leaf normal.  Returns one FirstReturnResult per row, or
+    the FoliationError of the rows that fail; a line longer than
     200 max(1, |start|) does not return."""
     max_arc = 200.0 * max(1.0, float(np.linalg.norm(start)))
     rows = len(thetas)
@@ -282,8 +316,10 @@ def _first_returns(distr: RadialDistribution, thetas: np.ndarray,
         (_angle_rates(distr),), x0s, np.zeros((rows, 1), dtype=int),
         np.full((rows, 1), np.pi - phi0), ESCAPE_NORM, per_segment=RETURN_PIECES)
     states = np.concatenate([x0s[:, None, :], bounds], axis=1)
-    points, velocities = (a.reshape(rows, -1, distr.n) for a in _points_and_velocities(
-        distr, states.reshape(-1, states.shape[2])))
+    with np.errstate(all="ignore"):  # rows that overflowed or failed give NaN
+        points = _section_frame(states.reshape(-1, states.shape[2]))[1]
+    points = points.reshape(rows, -1, distr.n)
+    table = _LeafTable(distr, states)
     arcs = states[:, :, 2]
     out = []
     for k in range(rows):
@@ -298,7 +334,7 @@ def _first_returns(distr: RadialDistribution, thetas: np.ndarray,
                 p_return=points[k, -1], radius=float(np.exp(states[k, -1, 0])),
                 winding=float(states[k, -1, 1] - phi0), arc_length=float(arcs[k, -1]),
                 arc_t=arcs[k] / arcs[k, -1], arc_points=points[k],
-                arc_velocities=velocities[k]))
+                _table=table, _row=k))
     return out
 
 
@@ -311,7 +347,8 @@ def first_return(distr: RadialDistribution, section: PlanarSection,
     the ray, in steps chosen by error control alone: the return point,
     radius, winding and arc length are the stepped state there.  Arc points
     at the ends of RETURN_PIECES equal angle pieces are read off the
-    continuous extension of the steps that pass them.
+    continuous extension of the steps that pass them; the leaf-line
+    directions there (arc_velocities) are computed when first read.
     Raises TransversalityError where the leaf tangent turns radial, and
     NoReturnError when the line's row (log r, phi, arc length, theta) passes
     ESCAPE_NORM = 1e12 or its arc length exceeds 200 max(1, |start|).  That

@@ -126,7 +126,9 @@ def test_analyze_rejects_out_of_range_settings_on_every_system(tmp_path, capsys,
 @pytest.mark.parametrize("argv", [("reach", "--builtin", "so3", "--grid", "0"),
                                   ("reach", "--builtin", "so3", "--radial-bins", "0"),
                                   ("foliation", "--example", "sphere",
-                                   "--theta-samples", "1")])
+                                   "--theta-samples", "1"),
+                                  ("foliation", "--example", "sphere", "--dim", "2"),
+                                  ("foliation", "--example", "sphere", "--dim", "0")])
 def test_range_errors_name_the_flag(tmp_path, capsys, argv):
     # the two coverage-grid sizes used to share one message naming neither
     assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_INVALID

@@ -102,6 +102,34 @@ def test_sphere_leaf_table_steps_across_its_arc_points(monkeypatch):
     assert report.constant and calls and len(calls) <= 60
 
 
+def test_arc_velocities_are_computed_on_first_read_once_per_table():
+    # the leaf normal used to be taken at all 64 x 65 arc states of the
+    # table to fill arc_velocities, whether or not they were read
+    distr = sphere_distribution(3)
+    normal_fn, seen = distr.normal_fn, []
+
+    def counted(x):
+        seen.append(np.asarray(x).size // distr.n)
+        return normal_fn(x)
+
+    distr.normal_fn = counted
+    report = first_return_constancy(distr, theta_samples=64)
+    assert sum(seen) == 1984
+    report.results[7].arc_velocities
+    assert sum(seen) == 1984 + 64 * (RETURN_PIECES + 1)
+    got = np.array([res.arc_velocities for res in report.results])
+    assert sum(seen) == 1984 + 64 * (RETURN_PIECES + 1)
+
+    x0s = np.zeros((64, 6))
+    x0s[:, 3:] = report.thetas
+    bounds, _, _ = integrate_table((_angle_rates(distr),), x0s,
+                                   np.zeros((64, 1), dtype=int), np.full((64, 1), np.pi),
+                                   ESCAPE_NORM, per_segment=RETURN_PIECES)
+    states = np.concatenate([x0s[:, None, :], bounds], axis=1)
+    want = _points_and_velocities(sphere_distribution(3), states.reshape(-1, 6))[1]
+    assert got.tobytes() == want.tobytes()
+
+
 def test_flat_slope_reduces_to_sphere():
     sec = planar_section(THETA)
     flat = first_return(radial_graph_distribution(3, slope=0.0), sec)
@@ -122,6 +150,16 @@ def test_first_return_refuses_nonfinite_start(start, deadline):
     # a NaN or inf start used to be integrated without end
     with deadline(20), pytest.raises(ValueError, match="finite"):
         first_return(sphere_distribution(3), planar_section(THETA), start=start)
+
+
+@pytest.mark.parametrize("theta", [[np.nan, 0.0, 0.0], [1.0, np.nan, 0.0],
+                                   [1.0, 0.0, np.nan], [np.inf, 0.0, 0.0],
+                                   [1.0, 0.0, np.inf]])
+def test_planar_section_refuses_nonfinite_theta(theta):
+    # a NaN compared false against both bounds, and first_return then
+    # failed with TransversalityError, the numerical-failure path
+    with pytest.raises(ValueError, match="finite unit vector"):
+        planar_section(theta)
 
 
 def test_sphere_first_return():
