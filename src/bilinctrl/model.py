@@ -5,7 +5,10 @@ A system is either bilinear (a finite list of square matrices
 (a finite list of evaluable vector fields ``spec.fields``).  Smooth fields
 must accept arrays of shape (..., n) and return the same shape; all builtins
 follow that convention, so field k of a smooth system is evaluated at points
-x as ``spec.fields[k](x)``.
+x as ``spec.fields[k](x)``.  ``spec.fields`` is a FieldTable, a tuple whose
+``rows(field)`` evaluates a stack of rows, each row on its own field, in
+one call: for a generic table one call per run of equal field indices, for
+example1's table one evaluation of the gate for all rows.
 """
 
 from __future__ import annotations
@@ -58,6 +61,36 @@ class MatrixFamily:
         return len(self.matrices)
 
 
+def _field_rows(fields, field):
+    """The map u -> (fields[field[r]](u[r]))_r on stacks of rows u, for
+    field indices sorted ascending: each field runs on one slice of rows."""
+    edges = [0, *(np.flatnonzero(np.diff(field)) + 1), len(field)]
+    if len(edges) == 2:
+        return fields[field[0]]
+    groups = [(fields[field[a]], slice(a, b)) for a, b in zip(edges[:-1], edges[1:])]
+
+    def f(u):
+        out = np.empty_like(u)
+        for fk, rows in groups:
+            out[rows] = fk(u[rows])
+        return out
+    return f
+
+
+class FieldTable(tuple):
+    """The fields of a smooth system, a tuple of callables (table[k] is
+    field k) with one batched evaluation: rows(field) is the map
+    u -> (table[field[r]](u[r]))_r on stacks of rows u.  The generic rows
+    needs field sorted ascending and runs each field on its slice of rows; a
+    table whose fields share their work may override it with one call for
+    all rows, equal to the per-field callables bit for bit."""
+
+    __slots__ = ()
+
+    def rows(self, field):
+        return _field_rows(self, field)
+
+
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
     """A bilinear or smooth control system on R^n minus the origin."""
@@ -65,7 +98,7 @@ class SystemSpec:
     n: int
     name: str = ""
     family: MatrixFamily | None = None
-    fields: tuple | None = None
+    fields: FieldTable | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -75,7 +108,9 @@ class SystemSpec:
         if self.family is not None and self.family.n != self.n:
             raise ValueError(f"family dimension {self.family.n} != n = {self.n}")
         if self.fields is not None:
-            fields = tuple(self.fields)
+            fields = self.fields
+            if not isinstance(fields, FieldTable):
+                fields = FieldTable(fields)
             if not fields:
                 raise ValueError("smooth system needs at least one field")
             for i, f in enumerate(fields):
@@ -133,9 +168,11 @@ def smooth_system(n: int, fields, name: str = "") -> SystemSpec:
     """Build a smooth system from evaluable vector fields.
 
     Fields must be vectorized: they take arrays of shape (..., n) and return
-    arrays of the same shape, finite on finite nonzero inputs.
+    arrays of the same shape, finite on finite nonzero inputs.  A FieldTable
+    is kept as it is, with its rows; any other iterable becomes a generic
+    FieldTable.
     """
-    return SystemSpec(n=n, name=name, fields=tuple(fields))
+    return SystemSpec(n=n, name=name, fields=fields)
 
 
 # --- built-in corpus -------------------------------------------------------
@@ -184,6 +221,40 @@ def _f_gated(axis: int, negate: bool):
     return field
 
 
+_ALL_BITS = np.uint64(2**64 - 1)
+_SIGN_BIT = np.uint64(2**63)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+# for each example1 field, the bits each coordinate keeps of the gate (&) and
+# then flips (^): the up field's (0, 1) keeps none and sets 1.0; a pusher
+# keeps the gate in its axis and flips the sign bit where it is negated,
+# which is exactly what -gate does, to the sign of a zero or a NaN
+_EXAMPLE1_KEEP = np.array([[0, 0], [0, _ALL_BITS], [_ALL_BITS, 0], [_ALL_BITS, 0]],
+                          dtype=np.uint64)
+_EXAMPLE1_FLIP = np.array([[0, _ONE_BITS], [0, _SIGN_BIT], [0, 0], [_SIGN_BIT, 0]],
+                          dtype=np.uint64)
+
+
+class _Example1Fields(FieldTable):
+    """example1's four fields, whose rows evaluate the gate once for all
+    rows, in any field order: each row's coordinates are the gate under the
+    bit masks of its field, bound once per call of rows."""
+
+    __slots__ = ()
+
+    def rows(self, field):
+        keep, flip = _EXAMPLE1_KEEP[field], _EXAMPLE1_FLIP[field]
+
+        def f(u):
+            gate = example1_gate(u)
+            out = np.empty((gate.size, 2))
+            out[:, 0] = out[:, 1] = gate
+            bits = out.view(np.uint64)
+            bits &= keep
+            bits ^= flip
+            return out
+        return f
+
+
 def builtin_corpus(name: str) -> SystemSpec:
     """Return one of the built-in systems by name (see BUILTIN_NAMES)."""
     if name == "so3":
@@ -202,7 +273,8 @@ def builtin_corpus(name: str) -> SystemSpec:
     if name == "example1":
         return smooth_system(
             2,
-            (_f_unit_up, _f_gated(1, True), _f_gated(0, False), _f_gated(0, True)),
+            _Example1Fields((_f_unit_up, _f_gated(1, True), _f_gated(0, False),
+                             _f_gated(0, True))),
             name="example1",
         )
     raise ValueError(f"unknown builtin system: {name!r} (choose from {BUILTIN_NAMES})")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlie import check_point, exponential_map
-from .model import ControlSchedule, SystemSpec
+from .model import ControlSchedule, FieldTable, SystemSpec
 
 DEGENERATE_NORM = 1e-300
 BLOWUP_NORM = 1e6  # a smooth schedule row stops past this norm
@@ -106,33 +106,19 @@ def rk_step(f, u, h, ks=None):
     return u5, np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
-def _field_rows(fields, field):
-    """The map u -> (fields[field[r]](u[r]))_r on stacks of rows u, for
-    field indices sorted ascending: each field runs on one slice of rows."""
-    edges = [0, *(np.flatnonzero(np.diff(field)) + 1), len(field)]
-    if len(edges) == 2:
-        return fields[field[0]]
-    groups = [(fields[field[a]], slice(a, b)) for a, b in zip(edges[:-1], edges[1:])]
-
-    def f(u):
-        out = np.empty_like(u)
-        for fk, rows in groups:
-            out[rows] = fk(u[rows])
-        return out
-    return f
-
-
 def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1):
     """Run the segments (indices[r, j], durations[r, j]) of each table row r
     from x0s[r] along u' = fields[indices[r, j]](u), each field mapping
-    stacks of rows to stacks of rows, with one clock and step size per row
-    and local error per step below SMOOTH_TOL * (1 + |x|); a negative
-    duration runs backward.  Returns (bounds, stop, left): with
-    m = per_segment, bounds[r, j m + i - 1] is row r's state at the fraction
-    i/m of segment j, for i = 1, ..., m.  Steps are clipped only at segment
-    ends, so the state at a segment's end (i = m) is a stepped state, and
-    the states inside it (m > 1) are read off the 4th-order continuous
-    extension (_RK_DENSE) of the step that passes them.  A row stops in
+    stacks of rows to stacks of rows (fields is a model.FieldTable, or a
+    plain sequence of fields, run as a generic one), with one clock and
+    step size per row and local error per step below
+    SMOOTH_TOL * (1 + |x|); a negative duration runs backward.  Returns
+    (bounds, stop, left): with m = per_segment, bounds[r, j m + i - 1] is
+    row r's state at the fraction i/m of segment j, for i = 1, ..., m.
+    Steps are clipped only at segment ends, so the state at a segment's end
+    (i = m) is a stepped state, and the states inside it (m > 1) are read
+    off the 4th-order continuous extension (_RK_DENSE) of the step that
+    passes them.  A row stops in
     segment stop[r] (else the segment count) with left[r] of it to go once
     its norm passes escape_norm, and then stays put in bounds, or once its
     step no longer moves its clock (the time since the row's start), or its
@@ -143,12 +129,16 @@ def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1)
     at foliation.ESCAPE_NORM.
 
     All live rows step in lock step, one rk_step on the whole stack per
-    step, on a C-ordered state whatever the layout of x0s.  With several
-    fields the live rows are kept sorted by field, so each field runs on one
-    slice of rows; a one-field table (every leaf table) runs its field on
-    the whole stack and gathers the live rows (with take) only when some
-    row has left.  Accepted steps are copied in with copyto under a row
-    mask, not scattered.  With m > 1 each step calls the field once more,
+    step, on a C-ordered state whatever the layout of x0s, and each stage
+    is one call of fields.rows, bound to the live rows' field indices.
+    With several fields the live rows are kept sorted by field (stable), so
+    a generic table runs each field on one slice of rows, and the rows map
+    is bound again at each compaction; a one-field table (every leaf table)
+    binds it once, runs its field on the whole stack and gathers the live
+    rows (with take) only when some row has left.  Each row's norm is
+    computed once per accepted step, for the escape test, and is the next
+    step's tolerance norm.  Accepted steps are copied in with copyto under a
+    row mask, not scattered.  With m > 1 each step calls the field once more,
     at the states it reached, which is the continuous extension's last
     stage and the next step's first; with m = 1 nothing of that runs.
     Every row runs bit for bit as it would alone."""
@@ -161,16 +151,19 @@ def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1)
     stop, left = np.full(rows, segs), np.zeros(rows)
     if not rows:
         return bounds, stop, left
-    # live rows with their states, segments, time left in them, steps and
-    # whether their last trial step was rejected
+    if not isinstance(fields, FieldTable):
+        fields = FieldTable(fields)
+    # live rows with their states, segments, time left in them, steps,
+    # whether their last trial step was rejected, and their states' norms
     live, x, seg = np.arange(rows), np.array(x0s, dtype=float, order="C"), np.full(rows, -1)
     rem, h, cut = np.zeros(rows), np.full(rows, 0.01), np.zeros(rows, dtype=bool)
-    f = fields[0]  # a one-field table's field; else set with each sort
+    f = None  # the live rows' field map, bound with each sort
     # with m > 1: the fractions of the states inside a segment, the stages of
     # a step and f(x), the first stage of the next
     fractions, ks, k0 = np.arange(1, m) / m, None, None
     # trial steps that overflow have a non-finite error and are rejected
     with np.errstate(all="ignore"):
+        norm = np.sqrt(np.add.reduce(x * x, axis=1))
         while True:
             if not rem.all():
                 done = np.flatnonzero((rem == 0.0) & (seg < segs))
@@ -187,13 +180,14 @@ def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1)
                 keep = np.flatnonzero(seg < segs)
                 if not keep.size:
                     return bounds, stop, left
-                if len(fields) > 1:  # fields change with segments: sort again
+                sort = f is None or len(fields) > 1  # fields change with segments
+                if sort:
                     field = indices[live[keep], seg[keep]]
                     order = np.argsort(field, kind="stable")
-                    keep, f = keep[order], _field_rows(fields, field[order])
-                if len(fields) > 1 or keep.size < live.size:
-                    live, x, seg, rem, h, cut = (
-                        a.take(keep, axis=0) for a in (live, x, seg, rem, h, cut))
+                    keep, f = keep[order], fields.rows(field[order])
+                if sort or keep.size < live.size:
+                    live, x, seg, rem, h, cut, norm = (
+                        a.take(keep, axis=0) for a in (live, x, seg, rem, h, cut, norm))
                 dur, span, t0 = durations[live, seg], spans[live, seg], starts[live, seg]
                 if m > 1:  # the times of the states inside the segments, and f(x)
                     times = span[:, None] * fractions
@@ -204,7 +198,7 @@ def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1)
                 ks[0] = k0
             signed = np.copysign(step, dur)
             u5, err = rk_step(f, x, signed, ks)
-            tol = SMOOTH_TOL * (1.0 + np.sqrt(np.add.reduce(x * x, axis=1)))
+            tol = SMOOTH_TOL * (1.0 + norm)
             ok = err <= tol
             # a step that moves the state fails, one that passes does not move it
             stuck = ok & cut & (u5 == x).all(axis=1)
@@ -226,7 +220,9 @@ def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1)
                 k0 = np.where(ok[:, None], ks[6], ks[0])  # f(x) after the step
             np.copyto(x, u5, where=ok[:, None])
             t = t0 + (span - rem)  # time since the row's start
-            blow = ok & (np.sqrt(np.add.reduce(u5 * u5, axis=1)) > escape_norm)
+            reached = np.sqrt(np.add.reduce(u5 * u5, axis=1))
+            np.copyto(norm, reached, where=ok)
+            blow = ok & (reached > escape_norm)
             stall = ((t + h == t) | stuck) & ~blow
             halt = blow | stall
             if halt.any():
@@ -752,10 +748,10 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    run = _runner(spec)
+    run, num_fields = _runner(spec), spec.num_fields
     explore = max(1, min(budget, max(budget // 4, 256)))
     _, indices, durations = _schedule_tables(
-        spec.num_fields, explore, seed, max_segments, duration_scale)
+        num_fields, explore, seed, max_segments, duration_scale)
     bounds, _, _ = run(np.broadcast_to(x0, (explore, x0.size)), indices, durations)
     with np.errstate(over="ignore", invalid="ignore"):
         dists = np.linalg.norm(bounds[:, -1] - target[None, :], axis=1)
@@ -772,11 +768,11 @@ def approx_reach_test(spec: SystemSpec, x0, target, eps: float, budget: int,
         for _ in range(min(_DESCENT_BATCH, budget - evaluations)):
             if rng.random() < 0.1:
                 count = int(rng.integers(1, max_segments + 1))
-                cands.append(tuple((int(rng.integers(0, spec.num_fields)),
+                cands.append(tuple((int(rng.integers(0, num_fields)),
                                     float(rng.exponential(duration_scale)))
                                    for _ in range(count)))
             else:
-                cands.append(_mutate_schedule(best_segs, spec.num_fields, rng, scale))
+                cands.append(_mutate_schedule(best_segs, num_fields, rng, scale))
             states.append(rng.bit_generator.state)
         dists, _ = _reach_distances(run, x0, target, cands)
         better = np.flatnonzero(dists < best_dist)

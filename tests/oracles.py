@@ -36,10 +36,9 @@ from scipy.integrate import solve_ivp
 
 from bilinctrl.foliation import TRANS_TOL, RadialDistribution
 from bilinctrl.matlie import numerical_rank
-from bilinctrl.model import ControlSchedule, bilinear_system, builtin_corpus
+from bilinctrl.model import ControlSchedule, _field_rows, bilinear_system, builtin_corpus
 from bilinctrl.reach import (
     SMOOTH_TOL,
-    _field_rows,
     _flow,
     _mutate_schedule,
     _runner,

@@ -8,6 +8,7 @@ import pytest
 from bilinctrl.model import (
     BUILTIN_NAMES,
     ControlSchedule,
+    FieldTable,
     bilinear_system,
     builtin_corpus,
     example1_gate,
@@ -195,6 +196,32 @@ def test_gate_and_example1_fields_at_edge_values():
     assert np.signbit(rates[1][want == 0.0, 1]).all()  # -gate is -0.0
     assert np.signbit(rates[3][want == 0.0, 0]).all()
     assert not np.signbit(rates[2][:, 0]).any()
+
+
+def test_example1_rows_equal_the_per_field_callables():
+    # one batched evaluation gives each row of a stack the bytes of its own
+    # field's callable, at the gate's edge values and non-finite x (zeros
+    # and NaNs keep their signs), for fields mixed and unsorted, and for
+    # stacks of 0 and 1 rows; nothing warns
+    fields = builtin_corpus("example1").fields
+    assert isinstance(fields, FieldTable) and len(fields) == 4 and callable(fields[2])
+    ys = [-0.0, 0.0, 5e-324, 1e-300, -1.0, np.nan, 1e-3, 2e-3, 0.5, np.inf, -np.inf]
+    xs = [0.0, -0.0, 3.0, np.nan, -np.nan, np.inf, -np.inf]
+    pts = np.array([[x, y] for x in xs for y in ys])
+    field = np.random.default_rng(0).integers(0, 4, len(pts))
+    assert set(field) == {0, 1, 2, 3} and (np.diff(field) < 0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        each = [f(pts) for f in fields]  # every field at every point
+        got = fields.rows(field)(pts)
+        ones = [fields.rows(np.array([k]))(pts[5:6]) for k in range(4)]
+        none = fields.rows(np.zeros(0, dtype=int))(np.zeros((0, 2)))
+    want = np.stack([each[k][r] for r, k in enumerate(field)])
+    assert got.shape == pts.shape and got.tobytes() == want.tobytes()
+    assert np.isnan(got).any() and np.signbit(got[got == 0.0]).any()
+    for k, one in enumerate(ones):
+        assert one.tobytes() == each[k][5:6].tobytes()
+    assert none.shape == (0, 2)
 
 
 def test_random_system_deterministic():

@@ -337,6 +337,50 @@ def test_integrate_table_matches_fancy_index_oracle(fields, rows):
         assert np.isnan(got[0]).any() == (len(fields) > 1)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 32, 4096])
+def test_example1_table_matches_the_generic_rows(rows):
+    # example1's field table evaluates all live rows in one call; as a plain
+    # tuple the same fields run one call per field, and the rows must agree
+    # bit for bit
+    assert type(EX1.fields) is not tuple and type(tuple(EX1.fields)) is tuple
+    table = _smooth_table(EX1.fields, rows, seed=rows)
+    got = integrate_table(EX1.fields, *table, BLOWUP_NORM)
+    want = integrate_table(tuple(EX1.fields), *table, BLOWUP_NORM)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    if rows >= 32:  # rows that finish and rows that escape, on every field
+        assert set(table[1][table[2] > 0.0]) == {0, 1, 2, 3}
+        assert (got[1] == 6).any() and (got[1] < 6).any()
+
+
+def test_example1_gate_runs_once_per_stage(monkeypatch):
+    # a table of all four fields evaluates example1's gate once per stage
+    # for all its live rows, not once per field
+    from bilinctrl import model, reach
+
+    gates, stages = [], []
+    gate, step = model.example1_gate, reach.rk_step
+
+    def counting_gate(u):
+        gates.append(len(u))
+        return gate(u)
+
+    def counting_step(f, u, h, ks=None):
+        def g(v):
+            stages.append(len(v))
+            return f(v)
+        return step(g, u, h, ks)
+
+    monkeypatch.setattr(model, "example1_gate", counting_gate)
+    monkeypatch.setattr(reach, "rk_step", counting_step)
+    rows = 40
+    x0s = np.random.default_rng(2).uniform(-1.0, 1.0, size=(rows, 2))
+    indices = (np.arange(2 * rows) % 4).reshape(rows, 2)
+    integrate_table(EX1.fields, x0s, indices, np.full((rows, 2), 0.3), BLOWUP_NORM)
+    assert len(stages) >= 6 and stages[0] == rows
+    assert gates == stages
+
+
 def _diagonalizable_pair(n, rotate, seed):
     """Two generators P D_k P^-1 with eigenvalues of real parts from -1 to 1:
     real for rotate False, else a conjugate pair a +- bi per 2 x 2 block."""
