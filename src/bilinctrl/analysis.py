@@ -241,8 +241,8 @@ def _min_sigma_search(basis: LieBasis, pts: np.ndarray, restarts: int,
     return float(f[k]), x[k], float(fmax[k])
 
 
-def min_rank_search(spec: SystemSpec, restarts: int = 12, seed: int = 0,
-                    tol: float = DEFAULT_TOL,
+def min_rank_search(spec: SystemSpec, restarts: int = AnalysisBudgets.restarts,
+                    seed: int = 0, tol: float = DEFAULT_TOL,
                     basis: LieBasis | None = None) -> MinRankResult:
     """Search the unit sphere for the smallest n-th singular value of the
     stacked closure evaluation; a relative near-zero flags a rank-drop witness.
@@ -285,8 +285,8 @@ def monotone_norm_certificate(family: MatrixFamily) -> MonotoneNorm | None:
     return MonotoneNorm(direction, tuple(tuple(float(v) for v in e) for e in eigs))
 
 
-def angular_accessibility(spec: SystemSpec, samples: int = 1000, seed: int = 0,
-                          tol: float = DEFAULT_TOL,
+def angular_accessibility(spec: SystemSpec, samples: int = AnalysisBudgets.samples,
+                          seed: int = 0, tol: float = DEFAULT_TOL,
                           basis: LieBasis | None = None) -> AngularReport:
     """Check whether closure directions plus the radial line span R^n
     everywhere: the same sphere search as min_rank_search, on the closure
@@ -304,8 +304,9 @@ def angular_accessibility(spec: SystemSpec, samples: int = 1000, seed: int = 0,
     return AngularReport("accessible", None, sigma)
 
 
-def orbit_dimension_profile(spec: SystemSpec, samples: int = 100, seed: int = 0,
-                            tol: float = DEFAULT_TOL,
+def orbit_dimension_profile(spec: SystemSpec,
+                            samples: int = AnalysisBudgets.profile_samples,
+                            seed: int = 0, tol: float = DEFAULT_TOL,
                             basis: LieBasis | None = None) -> tuple:
     """Evaluated closure dimensions at seeded random unit points."""
     basis = _closure(spec, tol, basis)

@@ -73,10 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=str, default=None)
     cover = argparse.ArgumentParser(add_help=False)  # sampling and coverage grid
-    cover.add_argument("--budget", type=at_least(1), default=100000)
-    cover.add_argument("--grid", type=at_least(1), default=32,
-                       help="number of angular cells (default 32)")
-    cover.add_argument("--radial-bins", type=at_least(1), default=16)
+    cover.add_argument("--budget", type=at_least(1),
+                       default=AnalysisBudgets.reach_budget)
+    cover.add_argument("--grid", type=at_least(1),
+                       default=AnalysisBudgets.angular_cells,
+                       help="number of angular cells "
+                            f"(default {AnalysisBudgets.angular_cells})")
+    cover.add_argument("--radial-bins", type=at_least(1),
+                       default=AnalysisBudgets.radial_bins)
     cover.add_argument("--projective", action="store_true",
                        help="measure coverage on the antipodal quotient")
 
@@ -88,10 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[seed, cover, out, source],
                        help="run the decision pipeline and write a verdict report")
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
-    p.add_argument("--samples", type=at_least(1), default=4096,
+    p.add_argument("--samples", type=at_least(1), default=AnalysisBudgets.samples,
                    help="scan points of the angular accessibility search; the "
-                        f"rank-drop search always scans {_PRESCAN} (default 4096)")
-    p.add_argument("--coverage-threshold", type=fraction, default=0.99)
+                        f"rank-drop search always scans {_PRESCAN} "
+                        f"(default {AnalysisBudgets.samples})")
+    p.add_argument("--coverage-threshold", type=fraction,
+                   default=AnalysisBudgets.coverage_threshold)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reach", parents=[seed, cover, out, source],

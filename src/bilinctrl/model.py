@@ -7,8 +7,8 @@ must accept arrays of shape (..., n) and return the same shape; all builtins
 follow that convention, so field k of a smooth system is evaluated at points
 x as ``spec.fields[k](x)``.  ``spec.fields`` is a FieldTable, a tuple whose
 ``rows(field)`` evaluates a stack of rows, each row on its own field, in
-one call: for a generic table one call per run of equal field indices, for
-example1's table one evaluation of the gate for all rows.
+one call: for a generic table one call per distinct field, for example1's
+table one evaluation of the gate for all rows.
 """
 
 from __future__ import annotations
@@ -63,16 +63,17 @@ class MatrixFamily:
 
 def _field_rows(fields, field):
     """The map u -> (fields[field[r]](u[r]))_r on stacks of rows u, for
-    field indices sorted ascending: each field runs on one slice of rows."""
-    edges = [0, *(np.flatnonzero(np.diff(field)) + 1), len(field)]
-    if len(edges) == 2:
-        return fields[field[0]]
-    groups = [(fields[field[a]], slice(a, b)) for a, b in zip(edges[:-1], edges[1:])]
+    field indices in any order: each distinct field runs once, on its own
+    rows, and no rows give an empty map."""
+    ks = np.unique(field)
+    if ks.size == 1:
+        return fields[ks[0]]
+    groups = [(fields[k], np.flatnonzero(field == k)) for k in ks]
 
     def f(u):
         out = np.empty_like(u)
         for fk, rows in groups:
-            out[rows] = fk(u[rows])
+            out[rows] = fk(u.take(rows, axis=0))
         return out
     return f
 
@@ -80,8 +81,8 @@ def _field_rows(fields, field):
 class FieldTable(tuple):
     """The fields of a smooth system, a tuple of callables (table[k] is
     field k) with one batched evaluation: rows(field) is the map
-    u -> (table[field[r]](u[r]))_r on stacks of rows u.  The generic rows
-    needs field sorted ascending and runs each field on its slice of rows; a
+    u -> (table[field[r]](u[r]))_r on stacks of rows u, for field indices
+    in any order.  The generic rows runs each field once, on its own rows; a
     table whose fields share their work may override it with one call for
     all rows, equal to the per-field callables bit for bit."""
 

@@ -131,11 +131,10 @@ def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1)
     All live rows step in lock step, one rk_step on the whole stack per
     step, on a C-ordered state whatever the layout of x0s, and each stage
     is one call of fields.rows, bound to the live rows' field indices.
-    With several fields the live rows are kept sorted by field (stable), so
-    a generic table runs each field on one slice of rows, and the rows map
-    is bound again at each compaction; a one-field table (every leaf table)
-    binds it once, runs its field on the whole stack and gathers the live
-    rows (with take) only when some row has left.  Each row's norm is
+    Live rows stay in table order and are gathered (with take) only when
+    some row has left.  With several fields the rows map is bound again
+    whenever a row ends a segment; a one-field table (every leaf table)
+    binds it once and runs its field on the whole stack.  Each row's norm is
     computed once per accepted step, for the escape test, and is the next
     step's tolerance norm.  Accepted steps are copied in with copyto under a
     row mask, not scattered.  With m > 1 each step calls the field once more,
@@ -157,7 +156,7 @@ def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1)
     # whether their last trial step was rejected, and their states' norms
     live, x, seg = np.arange(rows), np.array(x0s, dtype=float, order="C"), np.full(rows, -1)
     rem, h, cut = np.zeros(rows), np.full(rows, 0.01), np.zeros(rows, dtype=bool)
-    f = None  # the live rows' field map, bound with each sort
+    f = None  # the live rows' field map
     # with m > 1: the fractions of the states inside a segment, the stages of
     # a step and f(x), the first stage of the next
     fractions, ks, k0 = np.arange(1, m) / m, None, None
@@ -180,14 +179,11 @@ def integrate_table(fields, x0s, indices, durations, escape_norm, per_segment=1)
                 keep = np.flatnonzero(seg < segs)
                 if not keep.size:
                     return bounds, stop, left
-                sort = f is None or len(fields) > 1  # fields change with segments
-                if sort:
-                    field = indices[live[keep], seg[keep]]
-                    order = np.argsort(field, kind="stable")
-                    keep, f = keep[order], fields.rows(field[order])
-                if sort or keep.size < live.size:
+                if keep.size < live.size:
                     live, x, seg, rem, h, cut, norm = (
                         a.take(keep, axis=0) for a in (live, x, seg, rem, h, cut, norm))
+                if f is None or len(fields) > 1:  # fields change with segments
+                    f = fields.rows(indices[live, seg])
                 dur, span, t0 = durations[live, seg], spans[live, seg], starts[live, seg]
                 if m > 1:  # the times of the states inside the segments, and f(x)
                     times = span[:, None] * fractions

@@ -440,8 +440,8 @@ def test_leaf_rates_and_frame_match_oracle(name):
 @pytest.mark.parametrize("name", ["sphere3", "so3_orbit", "tilted"])
 def test_one_field_leaf_table_matches_two_field_table(name):
     # a one-field table runs its field on the whole stack, without the
-    # argsort and field gathers of a table of several fields; with the
-    # field twice and random 0/1 indices every row must come out the same
+    # per-field gathers of a table of several fields; with the field twice
+    # and random 0/1 indices every row must come out the same
     distr = _leaf_fields()[name][0]
     rates = _angle_rates(distr)
     rows = 48

@@ -198,13 +198,23 @@ def test_gate_and_example1_fields_at_edge_values():
     assert not np.signbit(rates[2][:, 0]).any()
 
 
-def test_example1_rows_equal_the_per_field_callables():
+@pytest.mark.parametrize("generic", [False, True], ids=["example1", "generic"])
+def test_example1_rows_equal_the_per_field_callables(generic):
     # one batched evaluation gives each row of a stack the bytes of its own
     # field's callable, at the gate's edge values and non-finite x (zeros
     # and NaNs keep their signs), for fields mixed and unsorted, and for
-    # stacks of 0 and 1 rows; nothing warns
+    # stacks of 0 and 1 rows; nothing warns.  The generic table calls each
+    # field once per evaluation, however its rows are ordered
     fields = builtin_corpus("example1").fields
     assert isinstance(fields, FieldTable) and len(fields) == 4 and callable(fields[2])
+    calls = []
+    if generic:
+        def counted(k, fk):
+            def g(u):
+                calls.append(k)
+                return fk(u)
+            return g
+        fields = FieldTable(counted(k, fk) for k, fk in enumerate(fields))
     ys = [-0.0, 0.0, 5e-324, 1e-300, -1.0, np.nan, 1e-3, 2e-3, 0.5, np.inf, -np.inf]
     xs = [0.0, -0.0, 3.0, np.nan, -np.nan, np.inf, -np.inf]
     pts = np.array([[x, y] for x in xs for y in ys])
@@ -213,12 +223,15 @@ def test_example1_rows_equal_the_per_field_callables():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         each = [f(pts) for f in fields]  # every field at every point
+        calls.clear()
         got = fields.rows(field)(pts)
+        once = sorted(calls)
         ones = [fields.rows(np.array([k]))(pts[5:6]) for k in range(4)]
         none = fields.rows(np.zeros(0, dtype=int))(np.zeros((0, 2)))
     want = np.stack([each[k][r] for r, k in enumerate(field)])
     assert got.shape == pts.shape and got.tobytes() == want.tobytes()
     assert np.isnan(got).any() and np.signbit(got[got == 0.0]).any()
+    assert once == ([0, 1, 2, 3] if generic else [])
     for k, one in enumerate(ones):
         assert one.tobytes() == each[k][5:6].tobytes()
     assert none.shape == (0, 2)

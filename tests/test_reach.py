@@ -297,8 +297,8 @@ def test_table_with_states_inside_segments_keeps_the_stepped_ends(fields):
 
 
 def test_integrate_table_is_row_order_independent():
-    # live rows are sorted by field so that each field runs on one slice;
-    # a row's result must not depend on where it sits in the table
+    # the live rows keep their table order; a row's result must not depend
+    # on where it sits in the table
     _, indices, durations = _schedule_tables(4, 120, 3, 8, 0.5)
     x0s = np.random.default_rng(5).standard_normal((120, 2))
     table = (x0s, indices, durations)
